@@ -204,16 +204,15 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
         _fail("diagnostics.q", "must lie in (0,1)", ln("diagnostics.q"))
     if v["diagnostics.margin"] <= 0:
         _fail("diagnostics.margin", "must be positive", ln("diagnostics.margin"))
-    if v["replicator.enabled"]:
-        if v["replicator.strategies"] < 2:
-            _fail("replicator.strategies", "need at least 2 strategies",
-                  ln("replicator.strategies"))
-        if v["replicator.payoff"] not in ("coordination", "kernel", "identity"):
-            _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
-                  ln("replicator.payoff"))
-        if v["replicator.dt"] <= 0 or v["replicator.t_end"] <= 0:
-            _fail("replicator.dt", "time step and horizon must be positive",
-                  ln("replicator.dt"))
+    if v["replicator.strategies"] < 2:
+        _fail("replicator.strategies", "need at least 2 strategies",
+              ln("replicator.strategies"))
+    if v["replicator.payoff"] not in ("coordination", "kernel", "identity"):
+        _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
+              ln("replicator.payoff"))
+    if v["replicator.dt"] <= 0 or v["replicator.t_end"] <= 0:
+        _fail("replicator.dt", "time step and horizon must be positive",
+              ln("replicator.dt"))
 
 
 def parse_config(text: str) -> ExperimentConfig:

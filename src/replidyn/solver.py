@@ -9,10 +9,25 @@ implicitly,
     (I - dt * diag(u^n) * Lap_h) u^{n+1} = u^n * (1 + dt * rho_eps(E^n)),
 
 with boundary nodes pinned to eps and the result floored at eps; an explicit
-forward-Euler mode is kept for cross-validation.  The step size halves when
-the sup norm moves by more than 10% per step and grows by 1.2x when it moves
-by less than 1%, capped by the reaction scale 0.5 / rho_eps so the nonlocal
-term stays resolved near blow-up.
+forward-Euler mode is kept for cross-validation.
+
+In 1D the semi-implicit system, multiplied through by diag(1/u^n), is
+tridiagonal and solved directly.  In 2D the same SPD system
+(diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
+applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
+ordering) that the run holds across steps; CG starts from the factor's own
+solution and stops at ||r|| <= CG_RTOL * ||rhs||.  Only the diagonal and dt
+change from step to step, so one factor usually serves a whole run.  When
+there is no factor yet, or CG needs more than CG_MAX_ITER iterations, the
+matrix of the current step is factored and solved directly.  A solve thus
+depends on which factor is held only below the CG tolerance, and a run is
+deterministic.
+
+The step size halves when the sup norm moves by more than 10% per step and
+grows by 1.2x when it moves by less than 1%, capped by the reaction scale
+0.5 / rho_eps so the nonlocal term stays resolved near blow-up.  The last
+step is clamped to t_end, below dt_min if need be, and does not count as
+starvation.
 
 A run ends in one of three outcomes: Decayed (corrected mass fell below a
 fraction of its initial value), RanToEnd, or BlowUp (sup norm crossed the cap,
@@ -26,15 +41,15 @@ sup norm could never trigger at moderate eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .diagnostics import Trace
-from .elliptic import TorsionSolution, phi_weighted_sup, solve_torsion
+from .elliptic import TorsionSolution, _interior_laplacian, phi_weighted_sup, solve_torsion
 from .mesh import Field, Grid, dirichlet_energy, integrate
 
 __all__ = [
@@ -46,6 +61,12 @@ __all__ = [
     "run",
     "comparison_upper_bound",
 ]
+
+# The 2D semi-implicit solve: conjugate gradients stop at this residual
+# relative to the right-hand side, and a held LU factor that needs more than
+# CG_MAX_ITER iterations to get there is replaced by a fresh one.
+CG_RTOL = 1e-13
+CG_MAX_ITER = 20
 
 
 def rho_eps(z: float, epsilon: float) -> float:
@@ -120,16 +141,23 @@ class SimulationResult:
     final: Field
     max_floored_fraction: float
     floor_flagged: bool
+    factorizations: int  # sparse LU factorizations of the 2D solve (0 in 1D)
+    cg_iterations: int   # preconditioned CG iterations of the 2D solve (0 in 1D)
 
 
 class _Workspace:
-    """Per-grid sparse pieces reused across steps."""
+    """Per-grid sparse pieces reused across steps, and in 2D the held LU
+    factor that preconditions the semi-implicit solve."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.interior = grid.interior_mask
         self.n_interior = int(self.interior.sum())
-        self.lap, self.bc = self._interior_operator(grid)
+        self.neg_lap = _interior_laplacian(grid.shape, grid.h)
+        self.bc = self._boundary_coupling(grid)
+        self.lu = None
+        self.factorizations = 0
+        self.cg_iterations = 0
         if grid.dimension == 1:
             h2 = grid.h[0] ** 2
             m = self.n_interior
@@ -139,22 +167,8 @@ class _Workspace:
             self.band_lower[-1] = 0.0
 
     @staticmethod
-    def _interior_operator(grid: Grid):
-        """Dirichlet Laplacian on interior nodes plus the boundary-coupling
-        vector: Lap_h u |interior = lap @ u_int + boundary_value * bc."""
-        blocks = []
-        for k, step in zip(grid.shape, grid.h):
-            m = k - 2
-            main = np.full(m, -2.0 / step**2)
-            off = np.full(m - 1, 1.0 / step**2)
-            blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-        if grid.dimension == 1:
-            lap = blocks[0].tocsr()
-        else:
-            ax, ay = blocks
-            ix = sp.identity(ax.shape[0], format="csr")
-            iy = sp.identity(ay.shape[0], format="csr")
-            lap = (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsr()
+    def _boundary_coupling(grid: Grid) -> np.ndarray:
+        """The vector bc with Lap_h u |interior = -neg_lap @ u_int + boundary_value * bc."""
         ones_bc = np.zeros(tuple(k - 2 for k in grid.shape))
         for axis, step in enumerate(grid.h):
             sl = [slice(None)] * grid.dimension
@@ -162,10 +176,10 @@ class _Workspace:
             ones_bc[tuple(sl)] += 1.0 / step**2
             sl[axis] = -1
             ones_bc[tuple(sl)] += 1.0 / step**2
-        return lap, ones_bc.ravel()
+        return ones_bc.ravel()
 
     def laplacian_interior(self, u_int: np.ndarray, boundary_value: float) -> np.ndarray:
-        return self.lap @ u_int + boundary_value * self.bc
+        return boundary_value * self.bc - self.neg_lap @ u_int
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -180,9 +194,41 @@ class _Workspace:
                 -dt * self.band_lower,
             ])
             return solve_banded((1, 1), ab, rhs)
-        m = -dt * self.lap
-        m = m + sp.diags(inv_u)
-        return spsolve(m.tocsr(), rhs)
+        if self.lu is not None:
+            x = self._preconditioned_cg(inv_u, dt, rhs)
+            if x is not None:
+                return x
+        a = sp.diags(inv_u) + dt * self.neg_lap
+        self.lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.factorizations += 1
+        return self.lu.solve(rhs)
+
+    def _preconditioned_cg(self, inv_u: np.ndarray, dt: float,
+                           rhs: np.ndarray) -> np.ndarray | None:
+        """Conjugate gradients from the held factor's solution, preconditioned
+        by that factor; None when CG_MAX_ITER iterations do not reach
+        ||r|| <= CG_RTOL * ||rhs||."""
+        lu, neg_lap = self.lu, self.neg_lap
+        tol = CG_RTOL * np.linalg.norm(rhs)
+        x = lu.solve(rhs)
+        r = rhs - (inv_u * x + dt * (neg_lap @ x))
+        p = rz = None
+        for iteration in range(CG_MAX_ITER + 1):
+            if np.linalg.norm(r) <= tol:
+                self.cg_iterations += iteration
+                return x
+            if iteration == CG_MAX_ITER:
+                break
+            z = lu.solve(r)
+            rz_new = r @ z
+            p = z if p is None else z + (rz_new / rz) * p
+            rz = rz_new
+            q = inv_u * p + dt * (neg_lap @ p)
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+        self.cg_iterations += CG_MAX_ITER
+        return None
 
 
 def _default_sup_cap(u0: Field, epsilon: float, torsion: TorsionSolution) -> float:
@@ -194,7 +240,12 @@ def _default_sup_cap(u0: Field, epsilon: float, torsion: TorsionSolution) -> flo
 def step(state: SolverState, params: SolverParams,
          workspace: _Workspace | None = None) -> SolverState:
     """Advance one step; the returned state carries the controller's next dt
-    proposal and flags dt starvation instead of raising."""
+    proposal and flags dt starvation instead of raising.  The step never
+    passes params.t_end: the last one is clamped to it, below dt_min if need
+    be, and that clamp is not starvation."""
+    remaining = params.t_end - state.t
+    if remaining <= 0.0:
+        raise ValueError(f"state at t={state.t} has reached t_end={params.t_end}")
     grid = state.u.grid
     if workspace is None:
         workspace = _Workspace(grid)
@@ -209,7 +260,7 @@ def step(state: SolverState, params: SolverParams,
         cfl = params.cfl_c * min(grid.h) ** 2 / (2.0 * grid.dimension * float(u.max()))
         want = min(want, cfl)
     starved = want < params.dt_min
-    dt = max(want, params.dt_min)
+    dt = min(max(want, params.dt_min), remaining)
 
     if params.scheme == "explicit":
         lap_int = workspace.laplacian_interior(u_int, eps)
@@ -305,8 +356,7 @@ def run(u0eps: Field, params: SolverParams,
             break
 
         prev_sup = sup_now
-        remaining = params.t_end - state.t
-        stepped = step(replace(state, dt=min(state.dt, remaining)), params, workspace)
+        stepped = step(state, params, workspace)
         step_index += 1
         max_floor_frac = max(max_floor_frac, stepped.floored / max(n_interior, 1))
 
@@ -344,6 +394,8 @@ def run(u0eps: Field, params: SolverParams,
         params=params, sup_cap=sup_cap, final=state.u,
         max_floored_fraction=max_floor_frac,
         floor_flagged=max_floor_frac > 1e-3,
+        factorizations=workspace.factorizations,
+        cg_iterations=workspace.cg_iterations,
     )
 
 

@@ -211,6 +211,14 @@ output.dir = rep
     assert len(lines) == 202
 
 
+def test_replicator_keys_validated_without_enabled_flag(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="replicator.payoff"):
+        parse_config("replicator.payoff = bogus\n")
+    cfg_path = _write_cfg(tmp_path, "replicator.payoff = bogus\n")
+    assert main(["replicator", "--config", cfg_path]) == 1
+    assert "replicator.payoff" in capsys.readouterr().err
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, "solver.epsilon = -3\n")
     assert main(["run", "--config", cfg_path]) == 1

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import replidyn as rd
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
-from replidyn.solver import SolverState, _Workspace, rho_eps, step
+from replidyn.solver import CG_RTOL, SolverState, _Workspace, rho_eps, step
 
 EPS = 1e-3
 
@@ -181,6 +183,84 @@ def test_small_2d_run_completes():
     assert np.min(result.final.values) >= EPS - 1e-12
 
 
+def _direct_solve(ws, u_int, dt, f, eps):
+    """Oracle for the 2D semi-implicit solve: the assembled SPD matrix
+    diag(1/u) - dt*Lap_h, solved from scratch."""
+    rhs = (1.0 + dt * f) + dt * eps * ws.bc
+    a = (sp.diags(1.0 / u_int) + dt * ws.neg_lap).tocsr()
+    return a, rhs, spsolve(a, rhs)
+
+
+@pytest.fixture(scope="module")
+def grid21():
+    return build_grid(2, [1.0, 1.0], [21, 21])
+
+
+def _blowup_21(grid21, **overrides):
+    tor = rd.solve_torsion(grid21)
+    u0 = rd.torsion_profile(grid21, 1.5, EPS, tor)
+    params = rd.SolverParams(**{"epsilon": EPS, "t_end": 5.0, **overrides})
+    return rd.run(u0, params, tor)
+
+
+def test_2d_solve_matches_direct_solve_on_every_step(grid21, monkeypatch):
+    calls = []
+    solve = _Workspace.solve_semi_implicit
+
+    def recording(self, u_int, dt, f, eps):
+        x = solve(self, u_int, dt, f, eps)
+        calls.append((self, u_int.copy(), dt, f, eps, x.copy()))
+        return x
+
+    monkeypatch.setattr(_Workspace, "solve_semi_implicit", recording)
+    result = _blowup_21(grid21, dt_init=1e-4, reaction_cap_c=0.015)
+    assert result.outcome == "BlowUp"
+    assert len(calls) > 100
+    assert result.cg_iterations > 0
+    for ws, u_int, dt, f, eps, x in calls:
+        a, rhs, expected = _direct_solve(ws, u_int, dt, f, eps)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert np.linalg.norm(a @ x - rhs) <= CG_RTOL * np.linalg.norm(rhs)
+
+
+def test_2d_solve_refactors_a_stale_factor(grid21):
+    tor = rd.solve_torsion(grid21)
+    ws = _Workspace(grid21)
+    n = ws.n_interior
+    ws.solve_semi_implicit(np.full(n, EPS), 1e-7, 0.0, EPS)
+    assert ws.factorizations == 1
+    u_int = rd.torsion_profile(grid21, 1.5, EPS, tor).values[ws.interior]
+    x = ws.solve_semi_implicit(u_int, 0.05, 20.0, EPS)
+    assert ws.factorizations == 2
+    _, _, expected = _direct_solve(ws, u_int, 0.05, 20.0, EPS)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_2d_run_trace_is_deterministic(grid21, tmp_path):
+    paths = []
+    for name in ("a.csv", "b.csv"):
+        _blowup_21(grid21).trace.to_csv(tmp_path / name)
+        paths.append(tmp_path / name)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_2d_canonical_run_reuses_one_factorization():
+    g = build_grid(2, [1.0, 1.0], [41, 41])
+    tor = rd.solve_torsion(g)
+    u0 = rd.torsion_profile(g, 1.5, EPS, tor)
+    params = rd.SolverParams(epsilon=EPS, t_end=5.0, dt_init=1e-4,
+                             reaction_cap_c=0.015, snapshot_stride=20)
+    result = rd.run(u0, params, tor)
+    assert result.outcome == "BlowUp"
+    assert 1 <= result.factorizations <= 2
+    assert result.cg_iterations > 0
+
+
+def test_solve_counters_are_zero_in_1d(run_decay):
+    assert run_decay.factorizations == 0
+    assert run_decay.cg_iterations == 0
+
+
 def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201):
     u0 = rd.torsion_profile(grid201, 0.5, EPS, torsion201)
     common = dict(epsilon=EPS, t_end=0.1, dt_init=1e-5, dt_min=1e-5, dt_max=1e-5)
@@ -188,3 +268,21 @@ def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201):
     b = rd.run(u0, rd.SolverParams(scheme="explicit", **common), torsion201)
     diff = np.max(np.abs(a.final.values - b.final.values))
     assert diff <= 1e-4 * float(np.max(a.final.values))
+
+
+def test_final_step_clamped_to_t_end_is_not_starvation():
+    # the last step, shorter than dt_min, must land on t_end instead of being
+    # stretched past it and read as starvation of a growing run
+    g = build_grid(1, [1.0], [101])
+    tor = rd.solve_torsion(g)
+    u0 = rd.torsion_profile(g, 1.2, EPS, tor)
+    params = rd.SolverParams(epsilon=EPS, dt_init=1e-2, dt_min=1e-2, dt_max=1e-2,
+                             t_end=0.025)
+    result = rd.run(u0, params, tor)
+    assert result.outcome == "RanToEnd"
+    assert result.t_last == params.t_end
+    assert result.trace.t[-1] == params.t_end
+    assert float(np.max(result.trace.sup_norm)) < result.sup_cap
+    at_end = SolverState(params.t_end, result.final, 1e-2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="t_end"):
+        step(at_end, params)
