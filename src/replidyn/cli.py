@@ -8,6 +8,7 @@ environment variable overrides the output root.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -55,25 +56,31 @@ def _cmd_sweep(args) -> int:
     return code
 
 
+def _recorded_sup_cap(trace_path: str) -> float:
+    """The sup cap the run used, from the summary.json beside its trace."""
+    path = os.path.join(os.path.dirname(os.path.abspath(trace_path)), "summary.json")
+    if not os.path.exists(path):
+        raise ValueError(f"{path} not found: verify reads the run's sup_cap "
+                         "from the summary.json beside --trace")
+    with open(path) as fh:
+        summary = json.load(fh)
+    if "sup_cap" not in summary:
+        raise ValueError(f"{path} records no sup_cap")
+    return float(summary["sup_cap"])
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    torsion = solve_torsion(grid)
     eps = cfg["solver.epsilon"]
+    sup_cap = _recorded_sup_cap(args.trace)
     trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=grid.volume)
     snapshots = read_snapshots(args.snapshots, grid)
     u0eps = snapshots[0][1]
 
     checks = args.checks.split(",") if args.checks else None
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.trace = trace
-    shim.snapshots = snapshots
-    shim.sup_cap = cfg["solver.sup_cap"] or float(np.max(trace.sup_norm)) * 2.0 + 1.0
-    rows, ok = diagnostics_rows(cfg, shim, grid, torsion, u0eps, checks=checks)
+    rows, ok = diagnostics_rows(cfg, trace, snapshots, sup_cap, grid, u0eps,
+                                checks=checks)
     lines = ["check,t,value,bound,pass"]
     for r in rows:
         lines.append(f"{r[0]},{float(r[1])!r},{float(r[2])!r},{float(r[3])!r},{r[4]}")
@@ -175,7 +182,6 @@ def _cmd_replicator(args) -> int:
         atomic_write_text(os.path.join(out, "replicator_trace.csv"),
                           "\n".join(lines) + "\n")
     else:
-        import json
         lines = [json.dumps({"t": float(t), "p": [float(v) for v in p]})
                  for t, p in zip(times, states)]
         atomic_write_text(os.path.join(out, "replicator_trace.ndjson"),

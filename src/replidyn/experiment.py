@@ -102,22 +102,22 @@ def build_initial_data(cfg: ExperimentConfig, grid, torsion):
     return result.u0eps, result
 
 
-def diagnostics_rows(cfg: ExperimentConfig, result, grid, torsion, u0eps,
-                     checks=None):
+def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
+                     grid, u0eps, checks=None):
     """Evaluate the enabled estimate checks; returns (rows, all_passed).
 
     Rows follow the verify CSV contract: check, t, value, bound, pass.
     Identity checks are evaluated on rows where the capped coefficient is
-    unsaturated and the sup norm is below half the blow-up cap; past that
-    window the regularized dynamics leave the regime the statements address.
+    unsaturated and the sup norm is below half the run's blow-up cap
+    ``sup_cap``; past that window the regularized dynamics leave the regime
+    the statements address.
     """
     checks = checks or ["mass_ode", "h_identity", "phi_norm", "gradient_bound",
                         "boundary_concentration"]
-    trace = result.trace
     rows: list[list] = []
     all_ok = True
 
-    pre = trace.precap_mask(result.sup_cap)
+    pre = trace.precap_mask(sup_cap)
     pre_trace = trace.sliced(pre) if pre.sum() >= 3 else trace
 
     if "mass_ode" in checks:
@@ -150,8 +150,8 @@ def diagnostics_rows(cfg: ExperimentConfig, result, grid, torsion, u0eps,
     margin = cfg["diagnostics.margin"]
     if "gradient_bound" in checks:
         sub = solve_torsion_subdomain(grid, margin)
-        keep = [(t, f) for (t, f) in result.snapshots
-                if float(np.max(f.values)) < 0.5 * result.sup_cap]
+        keep = [(t, f) for (t, f) in snapshots
+                if float(np.max(f.values)) < 0.5 * sup_cap]
         if len(keep) >= 2:
             times, ok_arr, lhs, rhs = diag.gradient_bound_check(
                 trace, keep, sub, u0eps, tol=cfg["diagnostics.bound_slack"])
@@ -160,7 +160,7 @@ def diagnostics_rows(cfg: ExperimentConfig, result, grid, torsion, u0eps,
             all_ok &= ok
 
     if "boundary_concentration" in checks:
-        conc = diag.boundary_concentration(result.snapshots, cfg["diagnostics.q"],
+        conc = diag.boundary_concentration(snapshots, cfg["diagnostics.q"],
                                            margin, u0eps, trace)
         ok = (conc.lhs <= conc.bound * (1.0 + cfg["diagnostics.bound_slack"]) + 1e-12
               and conc.collar_energy <= conc.collar_bound * (1.0 + cfg["diagnostics.bound_slack"]) + 1e-12)
@@ -209,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         }
 
         if cfg["diagnostics.enabled"]:
-            rows, ok = diagnostics_rows(cfg, result, grid, torsion, u0eps)
+            rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
+                                        result.sup_cap, grid, u0eps)
             _atomic_csv(os.path.join(out_dir, "diagnostics.csv"),
                         ["check", "t", "value", "bound", "pass"],
                         [[r[0], repr(float(r[1])), repr(float(r[2])),

@@ -12,6 +12,7 @@ under-counted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +124,9 @@ def build_grid(dimension: int, extents, n) -> Grid:
 
 def integrate(f: Field) -> float:
     """Trapezoid-weighted integral over the domain."""
-    if not np.all(np.isfinite(f.values)):
+    if not np.isfinite(f.values).all():
         raise ValueError("cannot integrate a field with non-finite values")
-    return float(np.sum(f.grid.quad_weights * f.values))
+    return float((f.grid.quad_weights * f.values).sum())
 
 
 def _with_boundary(f: Field, boundary_value: float) -> np.ndarray:
@@ -167,7 +168,7 @@ def _cell_mean(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _cell_volume(grid: Grid) -> float:
-    return float(np.prod(grid.h))
+    return math.prod(grid.h)
 
 
 def dirichlet_energy(f: Field, boundary_value: float) -> float:
@@ -178,10 +179,10 @@ def dirichlet_energy(f: Field, boundary_value: float) -> float:
     """
     grid = f.grid
     v = _with_boundary(f, boundary_value)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("cannot evaluate the energy of a non-finite field")
     grads = _cell_gradients(v, grid)
-    total = sum(np.sum(g * g) for g in grads)
+    total = sum((g * g).sum() for g in grads)
     return float(total * _cell_volume(grid))
 
 

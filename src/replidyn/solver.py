@@ -12,7 +12,9 @@ with boundary nodes pinned to eps and the result floored at eps; an explicit
 forward-Euler mode is kept for cross-validation.
 
 In 1D the semi-implicit system, multiplied through by diag(1/u^n), is
-tridiagonal and solved directly.  In 2D the same SPD system
+tridiagonal and solved directly by LAPACK gtsv, called without a wrapper; it
+is the routine scipy.linalg.solve_banded runs for a tridiagonal band, so the
+solution is bitwise the same.  In 2D the same SPD system
 (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
 applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
 ordering) that the run holds across steps; CG starts from the factor's own
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .diagnostics import Trace
@@ -159,12 +161,7 @@ class _Workspace:
         self.factorizations = 0
         self.cg_iterations = 0
         if grid.dimension == 1:
-            h2 = grid.h[0] ** 2
-            m = self.n_interior
-            self.band_upper = np.full(m, 1.0 / h2)
-            self.band_lower = np.full(m, 1.0 / h2)
-            self.band_upper[0] = 0.0
-            self.band_lower[-1] = 0.0
+            self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
 
     @staticmethod
     def _boundary_coupling(grid: Grid) -> np.ndarray:
@@ -187,13 +184,14 @@ class _Workspace:
         rhs = (1.0 + dt * f) + dt * eps * self.bc
         inv_u = 1.0 / u_int
         if self.grid.dimension == 1:
+            if not (np.isfinite(inv_u).all() and np.isfinite(rhs).all()):
+                raise ValueError("semi-implicit solve got non-finite data")
             h2 = self.grid.h[0] ** 2
-            ab = np.vstack([
-                -dt * self.band_upper,
-                inv_u + 2.0 * dt / h2,
-                -dt * self.band_lower,
-            ])
-            return solve_banded((1, 1), ab, rhs)
+            off = np.full(self.n_interior - 1, -dt * (1.0 / h2))
+            x, info = self.gtsv(off, inv_u + 2.0 * dt / h2, off, rhs)[3:]
+            if info > 0:
+                raise LinAlgError("singular matrix")
+            return x
         if self.lu is not None:
             x = self._preconditioned_cg(inv_u, dt, rhs)
             if x is not None:
@@ -268,12 +266,12 @@ def step(state: SolverState, params: SolverParams,
     else:
         new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
 
-    floored = int(np.sum(new_int < eps - 1e-15))
+    floored = int((new_int < eps - 1e-15).sum())
     new_int = np.maximum(new_int, eps)
     new_values = np.full(grid.shape, eps)
     new_values[interior] = new_int
 
-    rel = float(np.max(np.abs(new_values - u))) / max(float(np.max(np.abs(u))), eps)
+    rel = float(np.abs(new_values - u).max()) / max(float(np.abs(u).max()), eps)
     next_dt = dt
     if rel > 0.10:
         next_dt = dt * 0.5
@@ -294,10 +292,10 @@ class _TraceBuilder:
         self.epsilon = epsilon
         self.omega = omega
 
-    def add(self, state: SolverState, torsion: TorsionSolution) -> None:
+    def add(self, state: SolverState, mass: float, sup: float,
+            torsion: TorsionSolution) -> None:
         lifted = Field(state.u.grid, state.u.values - self.epsilon)
-        self.rows.append((state.t, state.dt, integrate(state.u), state.energy,
-                          float(np.max(state.u.values)),
+        self.rows.append((state.t, state.dt, mass, state.energy, sup,
                           phi_weighted_sup(lifted, torsion),
                           state.rho_value, state.floored))
 
@@ -327,12 +325,15 @@ def run(u0eps: Field, params: SolverParams,
     e0 = dirichlet_energy(u0eps, eps)
     state = SolverState(t=0.0, u=u0eps.copy(), dt=params.dt_init, energy=e0,
                         rho_value=rho_eps(e0, eps))
+    # mass and sup of the current state, computed once per state
+    mass = integrate(state.u)
+    sup = float(state.u.values.max())
     builder = _TraceBuilder(eps, grid.volume)
     snapshots = [(0.0, state.u.copy())]
-    builder.add(state, torsion)
+    builder.add(state, mass, sup, torsion)
 
     eps_offset = eps * grid.volume
-    initial_corrected = integrate(u0eps) - eps_offset
+    initial_corrected = mass - eps_offset
     n_interior = int(grid.interior_mask.sum())
     max_floor_frac = 0.0
     outcome = None
@@ -341,40 +342,39 @@ def run(u0eps: Field, params: SolverParams,
     last_snapshot_t = 0.0
 
     while True:
-        sup_now = float(np.max(state.u.values))
-        if sup_now >= sup_cap:
+        if sup >= sup_cap:
             outcome = "BlowUp"
             break
+        corrected = mass - eps_offset
         if state.t >= params.t_end - 1e-12:
-            corrected = integrate(state.u) - eps_offset
             outcome = "Decayed" if corrected < params.decay_threshold * initial_corrected \
                 else "RanToEnd"
             break
-        corrected = integrate(state.u) - eps_offset
         if initial_corrected > 0 and corrected < params.decay_threshold * initial_corrected:
             outcome = "Decayed"
             break
 
-        prev_sup = sup_now
+        prev_sup = sup
         stepped = step(state, params, workspace)
+        mass = integrate(stepped.u)
+        sup = float(stepped.u.values.max())
         step_index += 1
         max_floor_frac = max(max_floor_frac, stepped.floored / max(n_interior, 1))
 
         if step_index % params.trace_stride == 0:
-            builder.add(stepped, torsion)
+            builder.add(stepped, mass, sup, torsion)
             last_recorded_t = stepped.t
         if step_index % params.snapshot_stride == 0:
             snapshots.append((stepped.t, stepped.u.copy()))
             last_snapshot_t = stepped.t
 
-        if stepped.starved and float(np.max(stepped.u.values)) > prev_sup:
-            state = stepped
+        state = stepped
+        if stepped.starved and sup > prev_sup:
             outcome = "BlowUp"
             break
-        state = stepped
 
     if state.t > last_recorded_t:
-        builder.add(state, torsion)
+        builder.add(state, mass, sup, torsion)
     if state.t > last_snapshot_t:
         snapshots.append((state.t, state.u.copy()))
     trace = builder.build()

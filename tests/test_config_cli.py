@@ -166,6 +166,44 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert "mass_ode" in text
 
 
+CANONICAL_BLOWUP = """
+grid.n = 201
+init.mass = 1.5
+solver.epsilon = 1e-3
+solver.t_end = 5.0
+solver.dt_init = 1e-4
+solver.reaction_cap_c = 0.015
+solver.snapshot_stride = 20
+"""
+
+
+def test_verify_reproduces_diagnostics_of_run(tmp_path, capsys):
+    # verify must judge the stored artifacts against the run's own sup cap
+    cfg_path = _write_cfg(tmp_path, CANONICAL_BLOWUP)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+          "--snapshots", str(out / "snapshots.ndjson"),
+          "--out", str(tmp_path / "verify.csv")])
+    got = (tmp_path / "verify.csv").read_text().splitlines()
+    want = (out / "diagnostics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in got][1:] == [
+        "mass_ode", "h_identity", "phi_norm", "gradient_bound",
+        "boundary_concentration"]
+    assert got == want
+
+
+def test_verify_needs_the_run_summary(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, FAST_RUN)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    (out / "summary.json").unlink()
+    code = main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson")])
+    assert code == 1
+    assert str(out / "summary.json") in capsys.readouterr().err
+
+
 def test_cli_blowup_subcommand(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
                                                      "init.mass = 1.5"))

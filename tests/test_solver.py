@@ -1,11 +1,16 @@
 """Time stepper: scheme definitions, invariants, outcomes, and a-priori bounds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
 import replidyn as rd
+import replidyn.solver as solver_mod
+from conftest import trichotomy_params
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
 from replidyn.solver import CG_RTOL, SolverState, _Workspace, rho_eps, step
 
@@ -203,7 +208,7 @@ def _blowup_21(grid21, **overrides):
     return rd.run(u0, params, tor)
 
 
-def test_2d_solve_matches_direct_solve_on_every_step(grid21, monkeypatch):
+def _record_solves(monkeypatch):
     calls = []
     solve = _Workspace.solve_semi_implicit
 
@@ -213,6 +218,11 @@ def test_2d_solve_matches_direct_solve_on_every_step(grid21, monkeypatch):
         return x
 
     monkeypatch.setattr(_Workspace, "solve_semi_implicit", recording)
+    return calls
+
+
+def test_2d_solve_matches_direct_solve_on_every_step(grid21, monkeypatch):
+    calls = _record_solves(monkeypatch)
     result = _blowup_21(grid21, dt_init=1e-4, reaction_cap_c=0.015)
     assert result.outcome == "BlowUp"
     assert len(calls) > 100
@@ -286,3 +296,74 @@ def test_final_step_clamped_to_t_end_is_not_starvation():
     at_end = SolverState(params.t_end, result.final, 1e-2, 0.0, 0.0)
     with pytest.raises(ValueError, match="t_end"):
         step(at_end, params)
+
+
+def _banded_solve(ws, u_int, dt, f, eps):
+    """Oracle for the 1D semi-implicit solve: scipy's banded solver on the
+    assembled tridiagonal matrix diag(1/u) - dt*Lap_h."""
+    h2 = ws.grid.h[0] ** 2
+    off = np.full(ws.n_interior, 1.0 / h2)
+    ab = np.vstack([-dt * off, 1.0 / u_int + 2.0 * dt / h2, -dt * off])
+    rhs = (1.0 + dt * f) + dt * eps * ws.bc
+    return solve_banded((1, 1), ab, rhs)
+
+
+def test_1d_solve_matches_banded_solve_bitwise(grid201, torsion201, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    u0 = rd.torsion_profile(grid201, 1.5, EPS, torsion201)
+    result = rd.run(u0, trichotomy_params(), torsion201)
+    assert result.outcome == "BlowUp"
+    assert len(calls) == len(result.trace) - 1
+    for ws, u_int, dt, f, eps, x in calls:
+        assert np.array_equal(x, _banded_solve(ws, u_int, dt, f, eps))
+
+
+def test_1d_solve_rejects_non_finite_data(grid201):
+    ws = _Workspace(grid201)
+    u_int = np.full(ws.n_interior, 0.5)
+    u_int[7] = np.nan
+    with pytest.raises(ValueError):
+        ws.solve_semi_implicit(u_int, 1e-3, 0.0, EPS)
+
+
+# SHA-256 of Trace.to_csv for n=201 runs: the canonical settings of the
+# acceptance suite at masses 0.5 and 1.5, and the default settings at 1.5.
+GOLDEN_TRACES = {
+    "canonical-0.5": "8f6230413d092e5f7a62c82e263f7236872354b3fb6ff5ed4cfaa773a239bb33",
+    "canonical-1.5": "c9f9945e437bd8ba5e8ce463fcd81396d2546c8ba3549f39af4a3795f2def90c",
+    "default-1.5": "bf6d051fcba4c47da7f59ddc039eb65f61f15af3de76f62fda9fb2c7c78e7b52",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_1d_trace_bytes_are_golden(name, grid201, torsion201, run_blowup, tmp_path):
+    settings, mass = name.split("-")
+    if settings == "canonical" and mass == "1.5":
+        result = run_blowup
+    else:
+        params = (trichotomy_params() if settings == "canonical"
+                  else rd.SolverParams(epsilon=EPS, t_end=5.0))
+        u0 = rd.torsion_profile(grid201, float(mass), EPS, torsion201)
+        result = rd.run(u0, params, torsion201)
+    path = tmp_path / "trace.csv"
+    result.trace.to_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRACES[name], (
+        f"trace.csv of the {name} run changed ({digest}). Update GOLDEN_TRACES "
+        "only together with a CHANGES.md note that gives the size of the drift "
+        "and its reason.")
+
+
+def test_run_integrates_once_per_trace_row(grid201, torsion201, monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return integrate(f)
+
+    monkeypatch.setattr(solver_mod, "integrate", counting)
+    u0 = rd.torsion_profile(grid201, 1.5, EPS, torsion201)
+    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, trace_stride=1),
+                    torsion201)
+    assert len(result.trace) > 50
+    assert len(calls) == len(result.trace)
