@@ -206,6 +206,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             "final_sup_norm": float(result.trace.sup_norm[-1]),
             "max_floored_fraction": result.max_floored_fraction,
             "floor_flagged": result.floor_flagged,
+            "factorizations": result.factorizations,
+            "cg_iterations": result.cg_iterations,
         }
 
         if cfg["diagnostics.enabled"]:

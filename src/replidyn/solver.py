@@ -17,13 +17,18 @@ is the routine scipy.linalg.solve_banded runs for a tridiagonal band, so the
 solution is bitwise the same.  In 2D the same SPD system
 (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
 applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
-ordering) that the run holds across steps; CG starts from the factor's own
-solution and stops at ||r|| <= CG_RTOL * ||rhs||.  Only the diagonal and dt
-change from step to step, so one factor usually serves a whole run.  When
-there is no factor yet, or CG needs more than CG_MAX_ITER iterations, the
-matrix of the current step is factored and solved directly.  A solve thus
-depends on which factor is held only below the CG tolerance, and a run is
-deterministic.
+ordering) that the run holds across steps; CG stops at
+||r|| <= CG_RTOL * ||rhs||.  It starts from the linear extrapolation
+u^n + (dt/dt_prev) (u^n - u^{n-1}) of the last two states, whose residual is
+O(dt^2), so a good factor needs about four iterations.  Only the diagonal and
+dt change from step to step, so one factor serves many steps.  When there is
+no factor yet, or CG needs more than CG_MAX_ITER (5) iterations, the matrix
+of the current step is factored and solved directly: a fresh factor costs
+about as much as 25 (81^2) to 40 (41^2) preconditioner solves, so a factor
+that has gone stale is cheaper to replace than to iterate with.  The held
+factor is released before the new one is built, so two are never alive at
+once.  A solve thus depends on which factor is held only below the CG
+tolerance, and a run is deterministic.
 
 The step size halves when the sup norm moves by more than 10% per step and
 grows by 1.2x when it moves by less than 1%, capped by the reaction scale
@@ -68,7 +73,7 @@ __all__ = [
 # relative to the right-hand side, and a held LU factor that needs more than
 # CG_MAX_ITER iterations to get there is replaced by a fresh one.
 CG_RTOL = 1e-13
-CG_MAX_ITER = 20
+CG_MAX_ITER = 5
 
 
 def rho_eps(z: float, epsilon: float) -> float:
@@ -158,6 +163,7 @@ class _Workspace:
         self.neg_lap = _interior_laplacian(grid.shape, grid.h)
         self.bc = self._boundary_coupling(grid)
         self.lu = None
+        self.previous = None  # (u_int, dt) of the last 2D solve
         self.factorizations = 0
         self.cg_iterations = 0
         if grid.dimension == 1:
@@ -192,23 +198,26 @@ class _Workspace:
             if info > 0:
                 raise LinAlgError("singular matrix")
             return x
-        if self.lu is not None:
-            x = self._preconditioned_cg(inv_u, dt, rhs)
+        previous, self.previous = self.previous, (u_int, dt)
+        if self.lu is not None:  # held factors come from earlier 2D solves
+            u_prev, dt_prev = previous
+            x0 = u_int + (dt / dt_prev) * (u_int - u_prev)
+            x = self._preconditioned_cg(inv_u, dt, rhs, x0)
             if x is not None:
                 return x
         a = sp.diags(inv_u) + dt * self.neg_lap
+        self.lu = None  # free the stale factor before the new one is built
         self.lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
         return self.lu.solve(rhs)
 
-    def _preconditioned_cg(self, inv_u: np.ndarray, dt: float,
-                           rhs: np.ndarray) -> np.ndarray | None:
-        """Conjugate gradients from the held factor's solution, preconditioned
-        by that factor; None when CG_MAX_ITER iterations do not reach
-        ||r|| <= CG_RTOL * ||rhs||."""
+    def _preconditioned_cg(self, inv_u: np.ndarray, dt: float, rhs: np.ndarray,
+                           x: np.ndarray) -> np.ndarray | None:
+        """Conjugate gradients from the start x (updated in place),
+        preconditioned by the held factor; None when CG_MAX_ITER iterations
+        do not reach ||r|| <= CG_RTOL * ||rhs||."""
         lu, neg_lap = self.lu, self.neg_lap
         tol = CG_RTOL * np.linalg.norm(rhs)
-        x = lu.solve(rhs)
         r = rhs - (inv_u * x + dt * (neg_lap @ x))
         p = rz = None
         for iteration in range(CG_MAX_ITER + 1):

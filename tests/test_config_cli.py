@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import replidyn.experiment as experiment_mod
 from replidyn.cli import main
 from replidyn.config import ConfigError, SweepSpec, config_to_text, parse_config
 from replidyn.experiment import run_experiment, run_sweep
@@ -88,6 +89,27 @@ def test_run_experiment_blowup_artifacts(tmp_path):
     assert summary["outcome"] == "BlowUp"
     assert (tmp_path / "bu" / "blowup.csv").exists()
     assert np.isfinite(summary["t_max_estimate"])
+
+
+def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
+    results = []
+    run = experiment_mod.run
+
+    def recording(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(experiment_mod, "run", recording)
+    cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n"
+                       "diagnostics.enabled = false\n")
+    out = tmp_path / "2d"
+    run_experiment(cfg, str(out))
+    stored = json.loads((out / "summary.json").read_text())
+    result, = results
+    assert result.factorizations >= 2
+    assert result.cg_iterations > 0
+    assert stored["factorizations"] == result.factorizations
+    assert stored["cg_iterations"] == result.cg_iterations
 
 
 def test_failed_tolerance_gives_exit_2(tmp_path):

@@ -1,9 +1,11 @@
-"""Torsion solves, the weighted sup norm, and the measured Poincare constant."""
+"""Torsion solves, the weighted sup norm, and the closed-form Poincare constant."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import replidyn as rd
+from replidyn.elliptic import _interior_laplacian
 from replidyn.mesh import Field, build_grid
 
 
@@ -104,6 +106,31 @@ def test_poincare_constant_matches_first_eigenvalue(grid201):
     c_p = rd.measure_poincare_constant(grid201)
     assert c_p == pytest.approx(1.0 / lam, rel=1e-8)
     assert c_p == pytest.approx(1.0 / np.pi**2, rel=1e-3)
+
+
+def _inverse_power_poincare_constant(grid, maxiter=200, tol=1e-12):
+    """Oracle: 1/lambda_min of the interior Dirichlet Laplacian by inverse
+    power iteration with one sparse factorization."""
+    a = _interior_laplacian(grid.shape, grid.h)
+    lu = splu(a.tocsc())
+    x = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
+    lam = 0.0
+    for _ in range(maxiter):
+        y = lu.solve(x)
+        y /= np.linalg.norm(y)
+        lam_new = float(y @ (a @ y))
+        if abs(lam_new - lam) <= tol * abs(lam_new):
+            return 1.0 / lam_new
+        lam, x = lam_new, y
+    raise AssertionError("inverse power iteration did not converge")
+
+
+def test_poincare_constant_matches_inverse_power_iteration_2d():
+    g = build_grid(2, [1.0, 2.0], [21, 31])
+    c_p = rd.measure_poincare_constant(g)
+    assert c_p == pytest.approx(_inverse_power_poincare_constant(g), rel=1e-12)
+    # continuum limit on [0,1]x[0,2]: 1 / (pi^2 (1 + 1/4))
+    assert c_p == pytest.approx(1.0 / (1.25 * np.pi**2), rel=1e-2)
 
 
 def test_torsion_serialization_roundtrip(grid201, torsion201, tmp_path):
