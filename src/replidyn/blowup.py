@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Trace
+from .elliptic import measure_poincare_constant
 
 __all__ = [
     "BlowupReport",
     "estimate_tmax",
     "blowup_set_estimate",
     "poincare_blowup_bound",
+    "blowup_metrics",
 ]
 
 DEFAULT_CHECKPOINT_FRACTIONS = (0.5, 0.7, 0.85, 0.95, 1.0)
@@ -142,3 +144,30 @@ def poincare_blowup_bound(y0: float, c_p: float, omega_measure: float) -> float:
         raise ValueError(f"corrected initial mass must exceed 1, got {y0}")
     z0 = 0.5 * (1.0 + y0)
     return c_p * omega_measure / ((y0 - 1.0) * z0)
+
+
+def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
+    """The (metric, value) rows of blowup.csv, for ``run`` and ``replidyn blowup``.
+
+    The singular-time fit (its two rows are left out when the fit fails), the
+    Poincare constant, the Poincare blow-up bound for supercritical corrected
+    mass, and with >= 3 snapshots the blow-up set fraction and core growth.
+    """
+    metrics = []
+    try:
+        t_est, residual = estimate_tmax(trace)
+        metrics += [("t_max_estimate", t_est), ("fit_residual", residual)]
+    except (ValueError, RuntimeError):
+        pass
+    c_p = measure_poincare_constant(grid)
+    metrics.append(("poincare_constant", c_p))
+    y0 = float(trace.corrected_mass[0])
+    if y0 > 1.0:
+        metrics.append(("poincare_upper_bound",
+                        poincare_blowup_bound(y0, c_p, grid.volume)))
+    if len(snapshots) >= 3:
+        report = blowup_set_estimate(snapshots)
+        metrics.append(("blowup_set_fraction", report.blowup_set_fraction))
+        metrics += [(f"core_min_growth_{margin:g}", g)
+                    for margin, g in report.core_min_growth.items()]
+    return metrics

@@ -14,14 +14,14 @@ import sys
 
 import numpy as np
 
-from . import blowup as blowup_mod
 from . import diagnostics as diag
+from .blowup import blowup_metrics
 from .config import ConfigError, SweepSpec, parse_config
-from .elliptic import measure_poincare_constant, solve_torsion
-from .experiment import (EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK,
-                         atomic_write_text, build_initial_data,
-                         diagnostics_rows, output_root, run_experiment,
-                         run_sweep)
+from .elliptic import solve_torsion
+from .experiment import (DIAGNOSTICS_HEADER, EXIT_CHECK_FAILED, EXIT_ERROR,
+                         EXIT_OK, atomic_write_text, build_initial_data,
+                         csv_text, diagnostics_rows, initdata_report_csv,
+                         output_root, run_experiment, run_sweep)
 from .mesh import build_grid, read_snapshots, write_snapshots
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
                          payoff_matrix_from_kernel)
@@ -81,10 +81,7 @@ def _cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks else None
     rows, ok = diagnostics_rows(cfg, trace, snapshots, sup_cap, grid, u0eps,
                                 checks=checks)
-    lines = ["check,t,value,bound,pass"]
-    for r in rows:
-        lines.append(f"{r[0]},{float(r[1])!r},{float(r[2])!r},{float(r[3])!r},{r[4]}")
-    text = "\n".join(lines) + "\n"
+    text = csv_text(DIAGNOSTICS_HEADER, rows)
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")
@@ -98,14 +95,11 @@ def _cmd_initdata(args) -> int:
     torsion = solve_torsion(grid)
     u0eps, result = build_initial_data(cfg, grid, torsion)
     report = result.report if result is not None else []
-    os.makedirs(out, exist_ok=True)
-    write_snapshots(os.path.join(out, "u0eps.ndjson"), [(0.0, u0eps)])
-    lines = ["property,measured,threshold,pass"]
-    for chk in report:
-        lines.append(f"{chk.name},{chk.measured!r},{chk.threshold!r},{chk.passed}")
-    atomic_write_text(os.path.join(out, "initdata_report.csv"),
-                      "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    atomic_write_text(os.path.join(out, "u0eps.ndjson"),
+                      lambda fh: write_snapshots(fh, [(0.0, u0eps)]))
+    text = initdata_report_csv(report)
+    atomic_write_text(os.path.join(out, "initdata_report.csv"), text)
+    print(text, end="")
     if report and not all(c.passed for c in report):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -118,27 +112,7 @@ def _cmd_blowup(args) -> int:
     trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=grid.volume)
     snapshots = read_snapshots(args.snapshots, grid)
 
-    metrics = []
-    try:
-        t_est, residual = blowup_mod.estimate_tmax(trace)
-        metrics.append(["t_max_estimate", t_est])
-        metrics.append(["fit_residual", residual])
-    except ValueError as exc:
-        print(f"singular-time fit unavailable: {exc}", file=sys.stderr)
-    c_p = measure_poincare_constant(grid)
-    metrics.append(["poincare_constant", c_p])
-    y0 = float(trace.corrected_mass[0])
-    if y0 > 1.0:
-        metrics.append(["poincare_upper_bound",
-                        blowup_mod.poincare_blowup_bound(y0, c_p, grid.volume)])
-    if len(snapshots) >= 3:
-        report = blowup_mod.blowup_set_estimate(snapshots)
-        metrics.append(["blowup_set_fraction", report.blowup_set_fraction])
-        for margin, g in report.core_min_growth.items():
-            metrics.append([f"core_min_growth_{margin:g}", g])
-
-    lines = ["metric,value"] + [f"{name},{float(val)!r}" for name, val in metrics]
-    text = "\n".join(lines) + "\n"
+    text = csv_text(["metric", "value"], blowup_metrics(trace, snapshots, grid))
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")
@@ -173,14 +147,10 @@ def _cmd_replicator(args) -> int:
     times, states, clip_total = integrate_replicator(
         p0, payoff, cfg["replicator.t_end"], cfg["replicator.dt"])
 
-    os.makedirs(out, exist_ok=True)
     if m <= 64:
-        header = "t," + ",".join(f"p_{i+1}" for i in range(m))
-        lines = [header]
-        for t, p in zip(times, states):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in p]))
-        atomic_write_text(os.path.join(out, "replicator_trace.csv"),
-                          "\n".join(lines) + "\n")
+        atomic_write_text(os.path.join(out, "replicator_trace.csv"), csv_text(
+            ["t"] + [f"p_{i+1}" for i in range(m)],
+            [[float(t), *map(float, p)] for t, p in zip(times, states)]))
     else:
         lines = [json.dumps({"t": float(t), "p": [float(v) for v in p]})
                  for t, p in zip(times, states)]

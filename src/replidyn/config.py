@@ -38,10 +38,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "solver.dt_init": ("float", 1e-3),
     "solver.dt_min": ("float", 1e-12),
     "solver.dt_max": ("float", 5e-2),
-    "solver.cfl_c": ("float", 0.9),
     "solver.t_end": ("float", 5.0),
     "solver.sup_cap": ("float", 0.0),        # 0 = auto
-    "solver.scheme": ("str", "semi-implicit"),
     "solver.snapshot_stride": ("int", 10),
     "solver.trace_stride": ("int", 1),
     "solver.decay_threshold": ("float", 0.05),
@@ -53,7 +51,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "diagnostics.h_identity_tol": ("float", 0.05),
     "diagnostics.bound_slack": ("float", 0.1),
     "diagnostics.phi_norm_slack": ("float", 0.05),
-    "replicator.enabled": ("bool", False),
     "replicator.strategies": ("int", 2),
     "replicator.payoff": ("str", "coordination"),
     "replicator.sigma": ("float", 0.05),
@@ -62,7 +59,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "replicator.dt": ("float", 0.01),
     "replicator.p0": ("floats", []),
     "output.dir": ("str", "out"),
-    "seed": ("int", 0),
 }
 
 SWEEP_AXES = {
@@ -184,11 +180,6 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     if not (0 < v["solver.dt_min"] <= v["solver.dt_init"] <= v["solver.dt_max"]):
         _fail("solver.dt_init", "need 0 < dt_min <= dt_init <= dt_max",
               ln("solver.dt_init"))
-    if not (0 < v["solver.cfl_c"] <= 1.0):
-        _fail("solver.cfl_c", "must lie in (0,1]", ln("solver.cfl_c"))
-    if v["solver.scheme"] not in ("semi-implicit", "explicit"):
-        _fail("solver.scheme", f"unknown scheme {v['solver.scheme']!r}",
-              ln("solver.scheme"))
     if v["solver.t_end"] <= 0:
         _fail("solver.t_end", "must be positive", ln("solver.t_end"))
     if v["solver.sup_cap"] < 0:
@@ -207,7 +198,7 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     if v["replicator.strategies"] < 2:
         _fail("replicator.strategies", "need at least 2 strategies",
               ln("replicator.strategies"))
-    if v["replicator.payoff"] not in ("coordination", "kernel", "identity"):
+    if v["replicator.payoff"] not in ("coordination", "kernel"):
         _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
               ln("replicator.payoff"))
     if v["replicator.dt"] <= 0 or v["replicator.t_end"] <= 0:

@@ -93,15 +93,15 @@ class Trace:
                      self.rho_value[mask], self.floored[mask],
                      self.epsilon, self.omega_measure)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for i in range(len(self)):
-                writer.writerow([repr(float(self.t[i])), repr(float(self.dt[i])),
-                                 repr(float(self.mass[i])), repr(float(self.energy[i])),
-                                 repr(float(self.sup_norm[i])), repr(float(self.phi_norm[i])),
-                                 repr(float(self.rho_value[i])), int(self.floored[i])])
+    def to_csv(self, fh) -> None:
+        """Write the trace to an open text file (csv-module rows, CRLF)."""
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for i in range(len(self)):
+            writer.writerow([repr(float(self.t[i])), repr(float(self.dt[i])),
+                             repr(float(self.mass[i])), repr(float(self.energy[i])),
+                             repr(float(self.sup_norm[i])), repr(float(self.phi_norm[i])),
+                             repr(float(self.rho_value[i])), int(self.floored[i])])
 
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None,

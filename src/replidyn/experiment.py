@@ -6,7 +6,9 @@ and blow-up classification, writing
     trace.csv, snapshots.ndjson, u0eps.ndjson, diagnostics.csv,
     blowup.csv (blow-up runs), summary.json
 
-into its output directory.  Every file is written atomically (tmp + rename).
+into its output directory.  Every file goes through ``atomic_write_text``
+(a fresh file, then os.replace), and every LF-terminated CSV is rendered by
+``csv_text``.
 Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance.
 Sweeps run independent configurations with bounded parallelism; per-run
 outputs are deterministic and independent of scheduling order.
@@ -14,53 +16,63 @@ outputs are deterministic and independent of scheduling order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import tempfile
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import blowup as blowup_mod
 from . import diagnostics as diag
+from .blowup import blowup_metrics
 from .config import ExperimentConfig, SweepSpec
-from .elliptic import measure_poincare_constant, solve_torsion, solve_torsion_subdomain
+from .elliptic import solve_torsion, solve_torsion_subdomain
 from .initdata import construct_initial, make_recipe, torsion_profile
 from .mesh import Field, build_grid, integrate, write_snapshots
 from .solver import SolverParams, run
 
-__all__ = ["run_experiment", "run_sweep", "atomic_write_text", "output_root",
-           "diagnostics_rows", "solver_params_from_config"]
+__all__ = ["run_experiment", "run_sweep", "atomic_write_text", "csv_text",
+           "output_root", "diagnostics_rows", "solver_params_from_config"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+DIAGNOSTICS_HEADER = ["check", "t", "value", "bound", "pass"]
 
 
 def output_root(default: str = ".") -> str:
     return os.environ.get("REPLIDYN_OUT", default)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def atomic_write_text(path: str, content) -> None:
+    """The one writer of artifacts: a fresh file beside ``path``, then os.replace.
+
+    ``content`` is the text, or a function that writes it to the open file.
+    The file is opened with newline="", so the bytes on disk are the text as
+    given, and created with mode 0o666 less the umask, as open() would.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with open(fd, "w", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
 
-def _atomic_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def csv_text(header: list[str], rows) -> str:
+    """The one renderer of the LF-terminated CSV artifacts: comma-joined
+    str() of each cell, so Python floats print as their repr."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
@@ -69,10 +81,8 @@ def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
         dt_init=cfg["solver.dt_init"],
         dt_min=cfg["solver.dt_min"],
         dt_max=cfg["solver.dt_max"],
-        cfl_c=cfg["solver.cfl_c"],
         t_end=cfg["solver.t_end"],
         sup_cap=cfg["solver.sup_cap"] or None,
-        scheme=cfg["solver.scheme"],
         snapshot_stride=cfg["solver.snapshot_stride"],
         trace_stride=cfg["solver.trace_stride"],
         decay_threshold=cfg["solver.decay_threshold"],
@@ -106,7 +116,8 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
                      grid, u0eps, checks=None):
     """Evaluate the enabled estimate checks; returns (rows, all_passed).
 
-    Rows follow the verify CSV contract: check, t, value, bound, pass.
+    Rows follow the verify CSV contract (DIAGNOSTICS_HEADER): check, t,
+    value, bound as Python floats, and pass.
     Identity checks are evaluated on rows where the capped coefficient is
     unsaturated and the sup norm is below half the run's blow-up cap
     ``sup_cap``; past that window the regularized dynamics leave the regime
@@ -167,7 +178,7 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
         rows.append(["boundary_concentration", trace.t[-1], conc.lhs, conc.bound, ok])
         all_ok &= ok
 
-    return rows, all_ok
+    return [[r[0], float(r[1]), float(r[2]), float(r[3]), r[4]] for r in rows], all_ok
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
@@ -180,19 +191,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         params = solver_params_from_config(cfg)
         result = run(u0eps, params, torsion)
 
-        os.makedirs(out_dir, exist_ok=True)
-        result.trace.to_csv(os.path.join(out_dir, "trace.tmp.csv"))
-        os.replace(os.path.join(out_dir, "trace.tmp.csv"),
-                   os.path.join(out_dir, "trace.csv"))
-        _write_snapshots_atomic(os.path.join(out_dir, "snapshots.ndjson"),
-                                result.snapshots)
-        _write_snapshots_atomic(os.path.join(out_dir, "u0eps.ndjson"),
-                                [(0.0, u0eps)])
+        atomic_write_text(os.path.join(out_dir, "trace.csv"), result.trace.to_csv)
+        atomic_write_text(os.path.join(out_dir, "snapshots.ndjson"),
+                          lambda fh: write_snapshots(fh, result.snapshots))
+        atomic_write_text(os.path.join(out_dir, "u0eps.ndjson"),
+                          lambda fh: write_snapshots(fh, [(0.0, u0eps)]))
         if init_result is not None:
-            _atomic_csv(os.path.join(out_dir, "initdata_report.csv"),
-                        ["property", "measured", "threshold", "pass"],
-                        [[c.name, repr(c.measured), repr(c.threshold), c.passed]
-                         for c in init_result.report])
+            atomic_write_text(os.path.join(out_dir, "initdata_report.csv"),
+                              initdata_report_csv(init_result.report))
 
         exit_code = EXIT_OK
         summary = {
@@ -213,67 +219,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         if cfg["diagnostics.enabled"]:
             rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
                                         result.sup_cap, grid, u0eps)
-            _atomic_csv(os.path.join(out_dir, "diagnostics.csv"),
-                        ["check", "t", "value", "bound", "pass"],
-                        [[r[0], repr(float(r[1])), repr(float(r[2])),
-                          repr(float(r[3])), r[4]] for r in rows])
+            atomic_write_text(os.path.join(out_dir, "diagnostics.csv"),
+                              csv_text(DIAGNOSTICS_HEADER, rows))
             summary["diagnostics_passed"] = ok
             for r in rows:
-                summary[f"check_{r[0]}"] = float(r[2])
+                summary[f"check_{r[0]}"] = r[2]
             if not ok:
                 exit_code = EXIT_CHECK_FAILED
 
         if result.outcome == "BlowUp":
-            c_p = measure_poincare_constant(grid)
-            y0 = float(result.trace.corrected_mass[0])
-            metrics = [
-                ["t_max_estimate", result.t_max_estimate],
-                ["fit_residual", result.fit_residual],
-                ["poincare_constant", c_p],
-            ]
-            if y0 > 1.0:
-                metrics.append(["poincare_upper_bound",
-                                blowup_mod.poincare_blowup_bound(y0, c_p, grid.volume)])
-            if len(result.snapshots) >= 3:
-                report = blowup_mod.blowup_set_estimate(result.snapshots)
-                metrics.append(["blowup_set_fraction", report.blowup_set_fraction])
-                for margin, g in report.core_min_growth.items():
-                    metrics.append([f"core_min_growth_{margin:g}", g])
-                summary["blowup_set_fraction"] = report.blowup_set_fraction
-            _atomic_csv(os.path.join(out_dir, "blowup.csv"), ["metric", "value"],
-                        [[name, repr(float(val))] for name, val in metrics])
+            metrics = blowup_metrics(result.trace, result.snapshots, grid)
+            atomic_write_text(os.path.join(out_dir, "blowup.csv"),
+                              csv_text(["metric", "value"], metrics))
+            fraction = dict(metrics).get("blowup_set_fraction")
+            if fraction is not None:
+                summary["blowup_set_fraction"] = fraction
 
         summary["exit_code"] = exit_code
-        atomic_write_text(os.path.join(out_dir, "summary.json"),
-                          json.dumps(summary, sort_keys=True, indent=2,
-                                     default=_json_default) + "\n")
-        return exit_code, summary
     except (ValueError, RuntimeError) as exc:
-        os.makedirs(out_dir, exist_ok=True)
-        summary = {"outcome": "Error", "error": str(exc), "exit_code": EXIT_ERROR}
-        atomic_write_text(os.path.join(out_dir, "summary.json"),
-                          json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        return EXIT_ERROR, summary
+        exit_code = EXIT_ERROR
+        summary = {"outcome": "Error", "error": str(exc), "exit_code": exit_code}
+    atomic_write_text(os.path.join(out_dir, "summary.json"),
+                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    return exit_code, summary
 
 
-def _json_default(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    raise TypeError(f"not serializable: {x!r}")
-
-
-def _write_snapshots_atomic(path: str, snapshots) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        write_snapshots(tmp, snapshots)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def initdata_report_csv(report) -> str:
+    return csv_text(["property", "measured", "threshold", "pass"],
+                    [[c.name, c.measured, c.threshold, c.passed] for c in report])
 
 
 def _format_axis_value(value) -> str:
@@ -310,16 +283,12 @@ def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
     worst = EXIT_OK
     for value, (code, summary) in zip(spec.values, results):
         worst = max(worst, code)
-        tme = summary.get("t_max_estimate")
-        rows.append([
-            _format_axis_value(value),
-            summary.get("outcome", "Error"),
-            "" if tme is None or (isinstance(tme, float) and math.isnan(tme))
-            else repr(float(tme)),
-            repr(float(summary.get("check_mass_ode", float("nan"))))
-            if "check_mass_ode" in summary else "",
-        ])
-    _atomic_csv(os.path.join(out_root_dir, "sweep_summary.csv"),
-                ["axis_value", "outcome", "t_max_estimate", "max_mass_ode_residual"],
-                rows)
+        tme = summary.get("t_max_estimate", math.nan)
+        resid = summary.get("check_mass_ode")
+        rows.append([_format_axis_value(value), summary.get("outcome", "Error"),
+                     "" if math.isnan(tme) else repr(tme),
+                     "" if resid is None else repr(resid)])
+    atomic_write_text(os.path.join(out_root_dir, "sweep_summary.csv"),
+                      csv_text(["axis_value", "outcome", "t_max_estimate",
+                                "max_mass_ode_residual"], rows))
     return worst, rows

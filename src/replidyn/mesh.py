@@ -220,16 +220,15 @@ def cell_distance_to_boundary(grid: Grid) -> np.ndarray:
     )
 
 
-def write_snapshots(path, snapshots, extra: dict | None = None) -> None:
-    """Write (t, Field) pairs as NDJSON: one record per snapshot with keys
-    t, shape, values (row-major)."""
-    with open(path, "w") as fh:
-        for t, field in snapshots:
-            rec = {"t": float(t), "shape": list(field.grid.shape),
-                   "values": [float(x) for x in field.values.ravel()]}
-            if extra:
-                rec.update(extra)
-            fh.write(json.dumps(rec) + "\n")
+def write_snapshots(fh, snapshots, extra: dict | None = None) -> None:
+    """Write (t, Field) pairs to an open text file as NDJSON: one record per
+    snapshot with keys t, shape, values (row-major)."""
+    for t, field in snapshots:
+        rec = {"t": float(t), "shape": list(field.grid.shape),
+               "values": [float(x) for x in field.values.ravel()]}
+        if extra:
+            rec.update(extra)
+        fh.write(json.dumps(rec) + "\n")
 
 
 def read_snapshots(path, grid: Grid | None = None):

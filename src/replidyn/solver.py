@@ -2,14 +2,12 @@
 
     u_t = u * (Lap u + min(E(u), 1/eps)),   u = eps on the boundary,
 
-where E(u) is the Dirichlet energy of u.  The default scheme freezes the
-degenerate coefficient at the current step and treats the diffusion
-implicitly,
+where E(u) is the Dirichlet energy of u.  The scheme freezes the degenerate
+coefficient at the current step and treats the diffusion implicitly,
 
     (I - dt * diag(u^n) * Lap_h) u^{n+1} = u^n * (1 + dt * rho_eps(E^n)),
 
-with boundary nodes pinned to eps and the result floored at eps; an explicit
-forward-Euler mode is kept for cross-validation.
+with boundary nodes pinned to eps and the result floored at eps.
 
 In 1D the semi-implicit system, multiplied through by diag(1/u^n), is
 tridiagonal and solved directly by LAPACK gtsv, called without a wrapper; it
@@ -91,10 +89,8 @@ class SolverParams:
     dt_init: float = 1e-3
     dt_min: float = 1e-12
     dt_max: float = 5e-2
-    cfl_c: float = 0.9
     t_end: float = 5.0
     sup_cap: float | None = None  # None: min(1e4 * initial sup, 0.8 * max(Phi)/eps)
-    scheme: str = "semi-implicit"
     snapshot_stride: int = 10
     trace_stride: int = 1
     decay_threshold: float = 0.05
@@ -110,10 +106,6 @@ class SolverParams:
                 f"need 0 < dt_min <= dt_init <= dt_max, got "
                 f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
             )
-        if not (0.0 < self.cfl_c <= 1.0):
-            raise ValueError(f"cfl_c must lie in (0,1], got {self.cfl_c}")
-        if self.scheme not in ("semi-implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sup_cap is not None and self.sup_cap <= self.epsilon:
             raise ValueError("sup_cap must exceed epsilon")
         if self.t_end <= 0:
@@ -180,9 +172,6 @@ class _Workspace:
             sl[axis] = -1
             ones_bc[tuple(sl)] += 1.0 / step**2
         return ones_bc.ravel()
-
-    def laplacian_interior(self, u_int: np.ndarray, boundary_value: float) -> np.ndarray:
-        return boundary_value * self.bc - self.neg_lap @ u_int
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -263,17 +252,9 @@ def step(state: SolverState, params: SolverParams,
 
     f = state.rho_value
     want = min(state.dt, params.dt_max, params.reaction_cap_c / max(f, 1.0))
-    if params.scheme == "explicit":
-        cfl = params.cfl_c * min(grid.h) ** 2 / (2.0 * grid.dimension * float(u.max()))
-        want = min(want, cfl)
     starved = want < params.dt_min
     dt = min(max(want, params.dt_min), remaining)
-
-    if params.scheme == "explicit":
-        lap_int = workspace.laplacian_interior(u_int, eps)
-        new_int = u_int + dt * (u_int * lap_int + u_int * f)
-    else:
-        new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
+    new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
 
     floored = int((new_int < eps - 1e-15).sum())
     new_int = np.maximum(new_int, eps)

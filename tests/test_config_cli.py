@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ def test_minimal_config_applies_defaults():
     assert cfg["grid.n"] == [201]
     assert cfg["init.mass"] == 1.5
     assert cfg["solver.epsilon"] == 1e-3
-    assert cfg["solver.scheme"] == "semi-implicit"
     assert cfg["output.dir"] == "out"
 
 
@@ -226,6 +226,21 @@ def test_verify_needs_the_run_summary(tmp_path, capsys):
     assert str(out / "summary.json") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    CANONICAL_BLOWUP,
+    "grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\ndiagnostics.enabled = false\n",
+], ids=["1d-canonical", "2d-21"])
+def test_blowup_reproduces_blowup_csv_of_run(text, tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, text)
+    out = tmp_path / "run"
+    main(["run", "--config", cfg_path, "--out", str(out)])
+    assert json.loads((out / "summary.json").read_text())["outcome"] == "BlowUp"
+    assert main(["blowup", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson"),
+                 "--out", str(tmp_path / "blowup.csv")]) == 0
+    assert (tmp_path / "blowup.csv").read_bytes() == (out / "blowup.csv").read_bytes()
+
+
 def test_cli_blowup_subcommand(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
                                                      "init.mass = 1.5"))
@@ -240,14 +255,17 @@ def test_cli_blowup_subcommand(tmp_path, capsys):
     assert "t_max_estimate" in text and "blowup_set_fraction" in text
 
 
-def test_cli_initdata_subcommand(tmp_path):
-    cfg_path = _write_cfg(tmp_path, """
+CONSTRUCTED_INIT = """
 grid.n = 201
 init.profile = constructed
 init.mass = 0.05
 solver.epsilon = 1e-3
 output.dir = init
-""")
+"""
+
+
+def test_cli_initdata_subcommand(tmp_path):
+    cfg_path = _write_cfg(tmp_path, CONSTRUCTED_INIT)
     out = str(tmp_path / "init")
     assert main(["initdata", "--config", cfg_path, "--out", out]) == 0
     report = (tmp_path / "init" / "initdata_report.csv").read_text().splitlines()
@@ -255,9 +273,31 @@ output.dir = init
     assert all(line.endswith("True") for line in report[1:])
 
 
+def test_artifacts_get_the_mode_of_trace_csv(tmp_path, capsys):
+    # every artifact is created as open() creates trace.csv: 0o666 less the umask
+    cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
+                                                     "init.mass = 1.5"))
+    run = tmp_path / "out" / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(run)]) == 0
+    common = ["--config", cfg_path, "--trace", str(run / "trace.csv"),
+              "--snapshots", str(run / "snapshots.ndjson")]
+    assert main(["verify", *common, "--out", str(tmp_path / "out" / "verify.csv")]) == 0
+    assert main(["blowup", *common, "--out", str(tmp_path / "out" / "blowup.csv")]) == 0
+    init_cfg = _write_cfg(tmp_path, CONSTRUCTED_INIT, "init")
+    assert main(["initdata", "--config", init_cfg,
+                 "--out", str(tmp_path / "out" / "init")]) == 0
+    files = sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert {p.name for p in files} >= {
+        "trace.csv", "snapshots.ndjson", "u0eps.ndjson", "diagnostics.csv",
+        "blowup.csv", "summary.json", "verify.csv", "initdata_report.csv"}
+    mode = stat.S_IMODE((run / "trace.csv").stat().st_mode)
+    got = {str(p.relative_to(tmp_path)): oct(stat.S_IMODE(p.stat().st_mode))
+           for p in files}
+    assert got == {name: oct(mode) for name in got}
+
+
 def test_cli_replicator_subcommand(tmp_path):
     cfg_path = _write_cfg(tmp_path, """
-replicator.enabled = true
 replicator.payoff = coordination
 replicator.p0 = 0.6 0.4
 replicator.t_end = 2.0

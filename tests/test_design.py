@@ -1,0 +1,52 @@
+"""Design guards: no config key that nothing reads, one atomic artifact
+writer, and the removed config keys and values rejected by name."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from replidyn import config
+from replidyn.config import ConfigError, parse_config
+
+SRC = Path(config.__file__).resolve().parent
+
+
+def _sources():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_config_key_is_read_outside_config():
+    others = [text for name, text in _sources().items() if name != "config"]
+    unread = [key for key in config._SCHEMA
+              if not any(f'"{key}"' in text for text in others)]
+    assert unread == []
+
+
+def _replace_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("os.replace", "os.rename")]
+
+
+def test_one_function_replaces_files():
+    sites = []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        assert len(_replace_calls(tree)) == sum(
+            len(_replace_calls(f)) for f in tree.body if isinstance(f, ast.FunctionDef))
+        sites += [f"{name}.{f.name}" for f in tree.body
+                  if isinstance(f, ast.FunctionDef) for _ in _replace_calls(f)]
+    assert sites == ["experiment.atomic_write_text"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "0"),
+    ("replicator.enabled", "true"),
+    ("solver.scheme", "explicit"),
+    ("solver.cfl_c", "0.9"),
+    ("replicator.payoff", "identity"),
+])
+def test_removed_keys_and_values_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=rf"line 2: .*{re.escape(key)}"):
+        parse_config(f"grid.n = 51\n{key} = {value}\n")

@@ -6,6 +6,7 @@ import pytest
 import replidyn as rd
 from replidyn import diagnostics as diag
 from replidyn.diagnostics import Trace
+from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field
 
 from conftest import EPS, normalized_mass_residual, precap_trace
@@ -173,9 +174,9 @@ def test_supercritical_rate_check(run_blowup, grid201):
 
 def test_trace_csv_roundtrip_bytes(run_decay, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_decay.trace.to_csv(p1)
+    atomic_write_text(str(p1), run_decay.trace.to_csv)
     back = Trace.from_csv(p1, epsilon=EPS, omega_measure=1.0)
-    back.to_csv(p2)
+    atomic_write_text(str(p2), back.to_csv)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.t, run_decay.trace.t)
 

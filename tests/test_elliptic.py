@@ -6,6 +6,7 @@ from scipy.sparse.linalg import splu
 
 import replidyn as rd
 from replidyn.elliptic import _interior_laplacian
+from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field, build_grid
 
 
@@ -135,7 +136,7 @@ def test_poincare_constant_matches_inverse_power_iteration_2d():
 
 def test_torsion_serialization_roundtrip(grid201, torsion201, tmp_path):
     path = tmp_path / "torsion.ndjson"
-    rd.write_snapshots(path, [(0.0, torsion201.phi)],
-                       extra={"domain_tag": torsion201.domain_tag})
+    atomic_write_text(str(path), lambda fh: rd.write_snapshots(
+        fh, [(0.0, torsion201.phi)], extra={"domain_tag": torsion201.domain_tag}))
     back = rd.read_snapshots(path, grid201)
     assert np.array_equal(back[0][1].values, torsion201.phi.values)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from replidyn.experiment import atomic_write_text
 from replidyn.mesh import (Field, build_grid, dirichlet_energy, gradient_inner,
                            integrate, laplacian, read_snapshots, write_snapshots)
 
@@ -178,7 +179,7 @@ def test_snapshot_ndjson_roundtrip(tmp_path):
     snaps = [(0.0, Field(g, rng.random(g.shape))),
              (0.5, Field(g, rng.random(g.shape)))]
     path = tmp_path / "snaps.ndjson"
-    write_snapshots(path, snaps)
+    atomic_write_text(str(path), lambda fh: write_snapshots(fh, snaps))
     back = read_snapshots(path, g)
     assert len(back) == 2
     for (t0, f0), (t1, f1) in zip(snaps, back):

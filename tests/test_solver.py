@@ -1,6 +1,7 @@
 """Time stepper: scheme definitions, invariants, outcomes, and a-priori bounds."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,37 @@ from scipy.sparse.linalg import spsolve
 import replidyn as rd
 import replidyn.solver as solver_mod
 from conftest import trichotomy_params
+from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
 from replidyn.solver import CG_RTOL, SolverState, _Workspace, rho_eps, step
 
 EPS = 1e-3
+
+
+class _ForwardEuler(_Workspace):
+    """Forward Euler in place of the semi-implicit solve: the explicit scheme
+    the solver is cross-checked against."""
+
+    def solve_semi_implicit(self, u_int, dt, f, eps):
+        lap_int = eps * self.bc - self.neg_lap @ u_int
+        return u_int + dt * (u_int * lap_int + u_int * f)
+
+
+def forward_euler_step(state, params, workspace=None):
+    """One explicit step: ``step``'s controller with the CFL limit
+    dt <= 0.9 h^2 / (2 d max u) on top, and the forward-Euler update."""
+    grid = state.u.grid
+    cfl = 0.9 * min(grid.h) ** 2 / (2.0 * grid.dimension * float(state.u.values.max()))
+    return step(replace(state, dt=min(state.dt, cfl)), params,
+                workspace or _ForwardEuler(grid))
+
+
+def run_forward_euler(u0, params, torsion, monkeypatch):
+    """``rd.run`` stepping with the forward-Euler oracle (the solver stays
+    patched for the rest of the test)."""
+    monkeypatch.setattr(solver_mod, "_Workspace", _ForwardEuler)
+    monkeypatch.setattr(solver_mod, "step", forward_euler_step)
+    return rd.run(u0, params, torsion)
 
 
 def make_state(u0eps, params):
@@ -46,18 +74,18 @@ def test_rho_eps_lipschitz_and_monotone():
 
 @pytest.mark.parametrize("scheme", ["semi-implicit", "explicit"])
 def test_constant_floor_state_is_fixed(scheme, grid201):
-    params = rd.SolverParams(epsilon=EPS, scheme=scheme, dt_init=1e-3)
+    params = rd.SolverParams(epsilon=EPS, dt_init=1e-3)
     u = Field(grid201, np.full(grid201.shape, EPS))
-    new = step(make_state(u, params), params)
+    advance = forward_euler_step if scheme == "explicit" else step
+    new = advance(make_state(u, params), params)
     assert np.max(np.abs(new.u.values - EPS)) <= 1e-14
 
 
 def test_explicit_step_is_the_definition(grid201, torsion201):
-    params = rd.SolverParams(epsilon=EPS, scheme="explicit",
-                             dt_init=1e-5, dt_min=1e-5, dt_max=1e-5)
+    params = rd.SolverParams(epsilon=EPS, dt_init=1e-5, dt_min=1e-5, dt_max=1e-5)
     u0 = rd.torsion_profile(grid201, 0.8, EPS, torsion201)
     state = make_state(u0, params)
-    new = step(state, params)
+    new = forward_euler_step(state, params)
     lap = laplacian(u0, EPS).values
     expected = u0.values + 1e-5 * (u0.values * lap + u0.values * state.rho_value)
     inner = grid201.interior_mask
@@ -173,8 +201,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         rd.SolverParams(epsilon=EPS, dt_init=1.0, dt_max=0.1).validate()
     with pytest.raises(ValueError):
-        rd.SolverParams(epsilon=EPS, scheme="magic").validate()
-    with pytest.raises(ValueError):
         rd.SolverParams(epsilon=EPS, sup_cap=EPS / 2).validate()
 
 
@@ -282,7 +308,7 @@ def test_2d_solve_refactors_a_stale_factor(grid21):
 def test_2d_run_trace_is_deterministic(grid21, tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):
-        _blowup_21(grid21).trace.to_csv(tmp_path / name)
+        atomic_write_text(str(tmp_path / name), _blowup_21(grid21).trace.to_csv)
         paths.append(tmp_path / name)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -309,11 +335,13 @@ def test_solve_counters_are_zero_in_1d(run_decay):
     assert run_decay.cg_iterations == 0
 
 
-def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201):
+def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201,
+                                                       monkeypatch):
     u0 = rd.torsion_profile(grid201, 0.5, EPS, torsion201)
-    common = dict(epsilon=EPS, t_end=0.1, dt_init=1e-5, dt_min=1e-5, dt_max=1e-5)
-    a = rd.run(u0, rd.SolverParams(scheme="semi-implicit", **common), torsion201)
-    b = rd.run(u0, rd.SolverParams(scheme="explicit", **common), torsion201)
+    params = rd.SolverParams(epsilon=EPS, t_end=0.1, dt_init=1e-5, dt_min=1e-5,
+                             dt_max=1e-5)
+    a = rd.run(u0, params, torsion201)
+    b = run_forward_euler(u0, params, torsion201, monkeypatch)
     diff = np.max(np.abs(a.final.values - b.final.values))
     assert diff <= 1e-4 * float(np.max(a.final.values))
 
@@ -384,7 +412,7 @@ def test_1d_trace_bytes_are_golden(name, grid201, torsion201, run_blowup, tmp_pa
         u0 = rd.torsion_profile(grid201, float(mass), EPS, torsion201)
         result = rd.run(u0, params, torsion201)
     path = tmp_path / "trace.csv"
-    result.trace.to_csv(path)
+    atomic_write_text(str(path), result.trace.to_csv)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_TRACES[name], (
         f"trace.csv of the {name} run changed ({digest}). Update GOLDEN_TRACES "
