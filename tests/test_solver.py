@@ -395,9 +395,9 @@ def test_1d_solve_rejects_non_finite_data(grid201):
 # SHA-256 of Trace.to_csv for n=201 runs: the canonical settings of the
 # acceptance suite at masses 0.5 and 1.5, and the default settings at 1.5.
 GOLDEN_TRACES = {
-    "canonical-0.5": "8f6230413d092e5f7a62c82e263f7236872354b3fb6ff5ed4cfaa773a239bb33",
-    "canonical-1.5": "c9f9945e437bd8ba5e8ce463fcd81396d2546c8ba3549f39af4a3795f2def90c",
-    "default-1.5": "bf6d051fcba4c47da7f59ddc039eb65f61f15af3de76f62fda9fb2c7c78e7b52",
+    "canonical-0.5": "60a2005d3946f555c6a5376dced229fda703377ae7786f71b79bbbc6ffc90a5c",
+    "canonical-1.5": "b76d01341e1ba949b1ba85e9c2c7d63e0913577b1adb8855bfdc08f66c775b09",
+    "default-1.5": "15c0c0f0ea1bd51c7528863445bc6bd85c2d37303c533262b9d07b6a2138cc77",
 }
 
 
