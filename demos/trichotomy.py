@@ -11,6 +11,7 @@ Run:  python demos/trichotomy.py
 import numpy as np
 
 import replidyn as rd
+from replidyn import blowup
 
 EPS = 1e-3
 
@@ -26,7 +27,7 @@ for mass, t_end in ((0.5, 50.0), (1.0, 5.0), (1.5, 5.0)):
                              reaction_cap_c=0.015)
     result = rd.run(u0, params, torsion)
     trace = result.trace
-    est = f"{result.t_max_estimate:.4f}" if np.isfinite(result.t_max_estimate) else "-"
+    est = f"{blowup.estimate_tmax(trace)[0]:.4f}" if result.outcome == "BlowUp" else "-"
     print(f"{mass:6.2f} {result.outcome:>10} {result.t_last:8.3f} "
           f"{trace.corrected_mass[-1]:11.4f} {trace.energy.max():11.4g} {est:>10}")
 

@@ -1,17 +1,16 @@
-"""Blow-up classification: extrapolate the singular time and map the blow-up set.
+"""Blow-up classification: the singular time from the mass law, and the blow-up set.
 
-Near blow-up the excess mass obeys an essentially quadratic growth law, so the
-reciprocal 1/(y-1) is asymptotically affine in time; the singular-time
-estimate is the root of an affine fit to its tail.  Rows where the capped
-nonlocal coefficient is saturated are excluded: past saturation the
-regularized dynamics leave the quadratic regime by construction, and the fit
-would be contaminated (this is also what makes the estimate insensitive to
-where the sup cap is placed).
+The corrected mass obeys y' = (y-1) E.  Near blow-up the profile stops
+changing, so kappa = y^2/E freezes, and integrating y' = (y-1) y^2/kappa from
+a trace row to y = infinity gives that row's singular time in closed form
+(exact for torsion data, where kappa is the torsion constant throughout).
+Rows where the capped nonlocal coefficient is saturated are excluded: past
+saturation the regularized dynamics leave the law by construction (this is
+also what makes the estimate insensitive to where the sup cap is placed).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,52 +32,33 @@ DEFAULT_GROWTH_THRESHOLD = 10.0
 
 @dataclass
 class BlowupReport:
-    t_max_estimate: float
-    fit_method: str
-    fit_residual: float
     blowup_set_fraction: float
     core_min_growth: dict
     checkpoint_times: list
     growth_factors: np.ndarray
 
 
-def _affine_root(t: np.ndarray, z: np.ndarray):
-    slope, intercept = np.polyfit(t, z, 1)
-    if slope >= 0.0:
-        return None
-    fit = slope * t + intercept
-    residual = float(np.sqrt(np.mean((z - fit) ** 2)) / np.mean(np.abs(z)))
-    return float(-intercept / slope), residual
-
-
 def estimate_tmax(trace: Trace, min_rows: int = 10):
-    """Root of an affine fit to a reciprocal of the excess mass.
+    """The singular time T_row = t + kappa [ln(y/(y-1)) - 1/y], kappa = y^2/E,
+    at the last usable row.
 
     Usable rows have supercritical corrected mass and an unsaturated nonlocal
-    coefficient; the fit runs over their last quartile.  Both 1/(y-1) (exact
-    for quadratic growth laws y' = c (y-1)^2) and 1/(y-1)^2 (the affine
-    observable when the energy grows like y^2, which is what measured runs do
-    near blow-up) are fitted, and the model with the smaller normalized RMS
-    residual wins.  Returns (t_max estimate, fit residual).
+    coefficient.  Returns (T_row at the last usable row, the spread of T_row
+    over the last quartile of usable rows relative to that value).
     """
     y = trace.corrected_mass
     usable = (y > 1.0) & ~trace.saturated()
-    if int(usable.sum()) < min_rows:
+    n_usable = int(usable.sum())
+    if n_usable < min_rows:
         raise ValueError(
-            f"need at least {min_rows} supercritical unsaturated rows, "
-            f"got {int(usable.sum())}"
+            f"need at least {min_rows} supercritical unsaturated rows, got {n_usable}"
         )
-    t = trace.t[usable]
-    z = 1.0 / (y[usable] - 1.0)
-    k = max(min_rows, len(t) // 4)
-    candidates = []
-    for model in (z, z * z):
-        fit = _affine_root(t[-k:], model[-k:])
-        if fit is not None:
-            candidates.append(fit)
-    if not candidates:
-        raise ValueError("no blow-up signature: 1/(y-1) tail is nondecreasing")
-    return min(candidates, key=lambda pair: pair[1])
+    k = max(min_rows, n_usable // 4)
+    t, y, energy = (a[usable][-k:] for a in (trace.t, y, trace.energy))
+    if y[-1] <= y[0]:
+        raise ValueError("no blow-up signature: y - 1 does not grow over the tail")
+    t_row = t + (y * y / energy) * (-np.log1p(-1.0 / y) - 1.0 / y)
+    return float(t_row[-1]), float(np.ptp(t_row) / t_row[-1])
 
 
 def blowup_set_estimate(snapshots, checkpoints=None,
@@ -126,9 +106,7 @@ def blowup_set_estimate(snapshots, checkpoints=None,
             core_min[margin] = float(final_growth[core].min())
 
     return BlowupReport(
-        t_max_estimate=math.nan, fit_method="inverse_excess_mass_affine",
-        fit_residual=math.nan, blowup_set_fraction=fraction,
-        core_min_growth=core_min,
+        blowup_set_fraction=fraction, core_min_growth=core_min,
         checkpoint_times=[float(times[i]) for i in idx],
         growth_factors=final_growth,
     )
@@ -149,7 +127,7 @@ def poincare_blowup_bound(y0: float, c_p: float, omega_measure: float) -> float:
 def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
     """The (metric, value) rows of blowup.csv, for ``run`` and ``replidyn blowup``.
 
-    The singular-time fit (its two rows are left out when the fit fails), the
+    The singular time and its spread (both left out when the estimate fails), the
     Poincare constant, the Poincare blow-up bound for supercritical corrected
     mass, and with >= 3 snapshots the blow-up set fraction and core growth.
     """
@@ -157,7 +135,7 @@ def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
     try:
         t_est, residual = estimate_tmax(trace)
         metrics += [("t_max_estimate", t_est), ("fit_residual", residual)]
-    except (ValueError, RuntimeError):
+    except ValueError:
         pass
     c_p = measure_poincare_constant(grid)
     metrics.append(("poincare_constant", c_p))

@@ -204,8 +204,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         summary = {
             "outcome": result.outcome,
             "t_last": result.t_last,
-            "t_max_estimate": result.t_max_estimate,
-            "fit_residual": result.fit_residual,
             "sup_cap": result.sup_cap,
             "final_mass": float(result.trace.mass[-1]),
             "final_corrected_mass": float(result.trace.corrected_mass[-1]),
@@ -231,9 +229,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             metrics = blowup_metrics(result.trace, result.snapshots, grid)
             atomic_write_text(os.path.join(out_dir, "blowup.csv"),
                               csv_text(["metric", "value"], metrics))
-            fraction = dict(metrics).get("blowup_set_fraction")
-            if fraction is not None:
-                summary["blowup_set_fraction"] = fraction
+            for key, value in metrics:
+                if key in ("t_max_estimate", "fit_residual", "blowup_set_fraction"):
+                    summary[key] = value
 
         summary["exit_code"] = exit_code
     except (ValueError, RuntimeError) as exc:

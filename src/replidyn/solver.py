@@ -45,7 +45,6 @@ sup norm could never trigger at moderate eps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +130,6 @@ class SolverState:
 class SimulationResult:
     outcome: str  # "Decayed" | "RanToEnd" | "BlowUp"
     t_last: float
-    t_max_estimate: float
-    fit_residual: float
     trace: Trace
     snapshots: list
     params: SolverParams
@@ -367,20 +364,9 @@ def run(u0eps: Field, params: SolverParams,
         builder.add(state, mass, sup, torsion)
     if state.t > last_snapshot_t:
         snapshots.append((state.t, state.u.copy()))
-    trace = builder.build()
-
-    t_max_estimate = math.nan
-    fit_residual = math.nan
-    if outcome == "BlowUp":
-        from .blowup import estimate_tmax
-        try:
-            t_max_estimate, fit_residual = estimate_tmax(trace)
-        except (ValueError, RuntimeError):
-            pass
 
     return SimulationResult(
-        outcome=outcome, t_last=state.t, t_max_estimate=t_max_estimate,
-        fit_residual=fit_residual, trace=trace, snapshots=snapshots,
+        outcome=outcome, t_last=state.t, trace=builder.build(), snapshots=snapshots,
         params=params, sup_cap=sup_cap, final=state.u,
         max_floored_fraction=max_floor_frac,
         floor_flagged=max_floor_frac > 1e-3,

@@ -2,7 +2,9 @@
 
 The three mass-trichotomy runs (epsilon 1e-3) and the deep blow-up run
 (epsilon 1e-9, where the capped nonlocal coefficient never saturates below
-the blow-up cap) are expensive enough to share across test modules.
+the blow-up cap) are expensive enough to share across test modules.  The
+closed-form blow-up and decay times of torsion data are the oracle the runs
+are judged against.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ import replidyn as rd
 from replidyn import diagnostics as diag
 
 EPS = 1e-3
+DEEP_EPS = 1e-9
 # criterion 1b: the drift |y - 1| that counts as leaving the unit-mass manifold,
 # and the largest roundoff seed max |y - 1| exp(-int_0^t E) accepted before that
 DRIFT_TOL = 1e-3
@@ -42,6 +45,13 @@ def trichotomy_params(**overrides):
     return rd.SolverParams(**base)
 
 
+def deep_params(**overrides):
+    base = dict(epsilon=DEEP_EPS, dt_init=1e-5, dt_max=0.05, t_end=5.0,
+                sup_cap=1e4, snapshot_stride=20, reaction_cap_c=0.015)
+    base.update(overrides)
+    return rd.SolverParams(**base)
+
+
 @pytest.fixture(scope="session")
 def run_decay(grid201, torsion201):
     u0 = rd.torsion_profile(grid201, 0.5, EPS, torsion201)
@@ -64,10 +74,23 @@ def run_blowup(grid201, torsion201):
 def run_deep(grid201, torsion201):
     """Blow-up run at epsilon 1e-9: the nonlocal cap stays unsaturated up to
     the sup cap 1e4, so the growth identities hold all the way there."""
-    u0 = rd.torsion_profile(grid201, 1.5, 1e-9, torsion201)
-    params = rd.SolverParams(epsilon=1e-9, dt_init=1e-5, dt_max=0.05, t_end=5.0,
-                             sup_cap=1e4, snapshot_stride=20, reaction_cap_c=0.015)
-    return rd.run(u0, params, torsion201)
+    u0 = rd.torsion_profile(grid201, 1.5, DEEP_EPS, torsion201)
+    return rd.run(u0, deep_params(), torsion201)
+
+
+def torsion_blowup_time(y0, c):
+    """T(y0): torsion data of corrected mass y0 > 1 obeys y' = (y - 1) y^2 / C
+    (C the integral of the torsion function, E = y^2 / C), and blows up at
+    C [ln(y0 / (y0 - 1)) - 1 / y0]."""
+    return c * (np.log(y0 / (y0 - 1.0)) - 1.0 / y0)
+
+
+def torsion_decay_time(y0, y1, c):
+    """The time torsion data takes to decay from corrected mass y0 < 1 to
+    y1 < y0: F(y1) - F(y0) with F(y) = C [ln(|y - 1| / y) + 1 / y]."""
+    def f(y):
+        return c * (np.log(abs(y - 1.0) / y) + 1.0 / y)
+    return f(y1) - f(y0)
 
 
 def precap_trace(result, frac=0.5):

@@ -9,29 +9,19 @@ import replidyn as rd
 from replidyn import blowup
 from replidyn.mesh import Field
 
-from conftest import precap_trace
+from conftest import DEEP_EPS, deep_params, precap_trace, torsion_blowup_time
 from test_diagnostics import synthetic_trace
 
 
-def test_estimate_exact_on_riccati_data():
-    # y = 1 + 1/(1-t): 1/(y-1) = 1 - t is exactly affine with root 1
-    t = np.linspace(0.0, 0.9, 200)
-    y = 1.0 + 1.0 / (1.0 - t)
-    energy = 1.0 / (1.0 - t)  # y' = (y-1) * E
-    trace = synthetic_trace(t, y, energy)
-    est, residual = blowup.estimate_tmax(trace)
-    assert abs(est - 1.0) <= 1e-6
-    assert residual <= 1e-10
-
-
-def test_estimate_exact_on_quadratic_growth_closed_form():
-    # z' = c z^2, c = 1, z(0) = 1 blows up at 1/(c z0) = 1
-    t = np.linspace(0.0, 0.9, 120)
-    z = 1.0 / (1.0 - t)
-    y = 1.0 + z
-    energy = z  # y' = z' = z^2 = (y-1)*z
-    est, _ = blowup.estimate_tmax(synthetic_trace(t, y, energy))
-    assert abs(est - 1.0) <= 1e-6
+def test_estimate_exact_on_torsion_law():
+    # torsion data obeys y' = (y - 1) y^2 / C with E = y^2 / C, and reaches
+    # corrected mass y at t(y) = T(y0) - T(y)
+    c = 1.0 / 12.0
+    y = np.geomspace(1.5, 1e3, 200)
+    t = torsion_blowup_time(1.5, c) - torsion_blowup_time(y, c)
+    est, spread = blowup.estimate_tmax(synthetic_trace(t, y, y * y / c))
+    assert abs(est - torsion_blowup_time(1.5, c)) <= 1e-15
+    assert spread <= 1e-13
 
 
 def test_estimate_rejects_nondecreasing_tail(run_decay):
@@ -48,18 +38,17 @@ def test_estimate_needs_enough_rows():
 
 def test_deep_run_estimate_quality(run_deep, grid201, torsion201):
     assert run_deep.outcome == "BlowUp"
-    assert math.isfinite(run_deep.t_max_estimate)
-    assert run_deep.fit_residual <= 1e-2
-    assert run_deep.t_max_estimate > 0.0
+    t_max, spread = blowup.estimate_tmax(run_deep.trace)
+    assert math.isfinite(t_max)
+    assert spread <= 1e-2
+    assert t_max > 0.0
 
 
 def test_estimate_stable_under_cap(run_deep, grid201, torsion201):
-    u0 = rd.torsion_profile(grid201, 1.5, 1e-9, torsion201)
-    params = rd.SolverParams(epsilon=1e-9, dt_init=1e-5, dt_max=0.05, t_end=5.0,
-                             sup_cap=1e3, snapshot_stride=20, reaction_cap_c=0.015)
-    smaller_cap = rd.run(u0, params, torsion201)
-    rel = abs(smaller_cap.t_max_estimate - run_deep.t_max_estimate) \
-        / run_deep.t_max_estimate
+    u0 = rd.torsion_profile(grid201, 1.5, DEEP_EPS, torsion201)
+    smaller_cap = rd.run(u0, deep_params(sup_cap=1e3), torsion201)
+    t_max = blowup.estimate_tmax(run_deep.trace)[0]
+    rel = abs(blowup.estimate_tmax(smaller_cap.trace)[0] - t_max) / t_max
     assert rel <= 0.10
 
 
@@ -111,7 +100,7 @@ def test_observed_blowup_before_poincare_bound(run_deep, grid201):
     c_p = rd.measure_poincare_constant(grid201)
     y0 = float(run_deep.trace.corrected_mass[0])
     t0 = blowup.poincare_blowup_bound(y0, c_p, grid201.volume)
-    assert run_deep.t_max_estimate <= t0
+    assert blowup.estimate_tmax(run_deep.trace)[0] <= t0
 
 
 def test_blowup_outcome_invariants(run_blowup, run_deep):
@@ -130,4 +119,4 @@ def test_estimate_extrapolates_beyond_fit_window(run_deep):
     trace = run_deep.trace
     usable = (trace.corrected_mass > 1.0) & ~trace.saturated()
     last_used = trace.t[usable][-1]
-    assert run_deep.t_max_estimate > last_used
+    assert blowup.estimate_tmax(trace)[0] > last_used

@@ -91,6 +91,20 @@ def test_run_experiment_blowup_artifacts(tmp_path):
     assert np.isfinite(summary["t_max_estimate"])
 
 
+def _reject_constant(token):
+    raise ValueError(f"summary.json holds the non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("mass", [0.5, 1.5])
+def test_summary_json_is_strict_json(tmp_path, mass):
+    # a decay run has no singular time, and its summary leaves the key out
+    cfg = parse_config(FAST_RUN).with_value("init.mass", mass)
+    run_experiment(cfg, str(tmp_path))
+    text = (tmp_path / "summary.json").read_text()
+    stored = json.loads(text, parse_constant=_reject_constant)
+    assert ("t_max_estimate" in stored) == (mass > 1.0)
+
+
 def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
     results = []
     run = experiment_mod.run

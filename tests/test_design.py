@@ -1,5 +1,6 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, and the removed config keys and values rejected by name."""
+writer, one owner of the singular time, and the removed config keys and
+values rejected by name."""
 
 import ast
 import re
@@ -38,6 +39,20 @@ def test_one_function_replaces_files():
         sites += [f"{name}.{f.name}" for f in tree.body
                   if isinstance(f, ast.FunctionDef) for _ in _replace_calls(f)]
     assert sites == ["experiment.atomic_write_text"]
+
+
+def test_solver_imports_nothing_from_blowup():
+    imported = [ast.unparse(node) for node in ast.walk(ast.parse(_sources()["solver"]))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [line for line in imported if "blowup" in line]
+
+
+def test_one_function_estimates_the_singular_time():
+    sites = [f"{name}.{f.name}" for name, text in _sources().items()
+             for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "estimate_tmax"]
+    assert sites == ["blowup.blowup_metrics"]
 
 
 @pytest.mark.parametrize("key, value", [
