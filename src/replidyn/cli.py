@@ -8,6 +8,7 @@ environment variable overrides the output root.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,25 +57,26 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def _recorded_sup_cap(trace_path: str) -> float:
-    """The sup cap the run used, from the summary.json beside its trace."""
+def _recorded_run(trace_path: str) -> tuple[float, float, float]:
+    """ε, |Ω| and the sup cap the run used, from the summary.json beside its trace."""
+    keys = ("epsilon", "omega_measure", "sup_cap")
     path = os.path.join(os.path.dirname(os.path.abspath(trace_path)), "summary.json")
     if not os.path.exists(path):
-        raise ValueError(f"{path} not found: verify reads the run's sup_cap "
-                         "from the summary.json beside --trace")
+        raise ValueError(f"{path} not found: verify reads the run's "
+                         f"{', '.join(keys)} from the summary.json beside --trace")
     with open(path) as fh:
         summary = json.load(fh)
-    if "sup_cap" not in summary:
-        raise ValueError(f"{path} records no sup_cap")
-    return float(summary["sup_cap"])
+    for key in keys:
+        if key not in summary:
+            raise ValueError(f"{path} records no {key}")
+    return tuple(float(summary[key]) for key in keys)
 
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    eps = cfg["solver.epsilon"]
-    sup_cap = _recorded_sup_cap(args.trace)
-    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=grid.volume)
+    eps, omega_measure, sup_cap = _recorded_run(args.trace)
+    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
     snapshots = read_snapshots(args.snapshots, grid)
     u0eps = snapshots[0][1]
 
@@ -160,6 +162,7 @@ def _cmd_replicator(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replidyn",
@@ -210,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

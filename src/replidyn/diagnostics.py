@@ -10,6 +10,7 @@ consistency error.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,20 +107,16 @@ class Trace:
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None,
                  omega_measure: float | None = None) -> "Trace":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
             if header != TRACE_COLUMNS:
                 raise ValueError(f"unexpected trace columns {header}")
-            for row in reader:
-                rows.append([float(x) for x in row])
-        data = np.asarray(rows, dtype=float)
-        if data.size == 0:
+            body = fh.read()
+        if not body.strip():
             raise ValueError("empty trace")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                   data[:, 5], data[:, 6], data[:, 7].astype(int),
-                   epsilon, omega_measure)
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                          usecols=range(len(TRACE_COLUMNS)))
+        return cls(*data[:, :7].T, data[:, 7].astype(int), epsilon, omega_measure)
 
 
 def mass_ode_residual(trace: Trace):
@@ -157,7 +154,13 @@ def h_identity_check(trace: Trace):
 
 def _match_rows(trace: Trace, times) -> np.ndarray:
     """Nearest trace-row index for each snapshot time."""
-    return np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
+    return np.argmin(np.abs(trace.t - np.asarray(times)[:, None]), axis=1)
+
+
+def _row_sums(stack: np.ndarray) -> np.ndarray:
+    """Per-snapshot sums, each bitwise equal to np.sum over that snapshot alone
+    (a masked gather a[:, mask] comes back F-ordered, so it is made contiguous)."""
+    return np.ascontiguousarray(stack).reshape(len(stack), -1).sum(axis=1)
 
 
 def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolution,
@@ -172,7 +175,8 @@ def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolu
     """
     grid = u0eps.grid
     phi = subdomain_torsion.phi
-    inside = subdomain_torsion.weights > 0
+    weights = subdomain_torsion.weights
+    inside = weights > 0
     times = np.array([t for t, _ in snapshots])
     rows = _match_rows(trace, times)
 
@@ -181,16 +185,12 @@ def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolu
     log_u0_term = subdomain_torsion.integrate(
         Field(grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
 
-    sub_mass = []
-    log_terms = []
-    for t, f in snapshots:
-        if np.min(f.values[inside]) <= 0:
-            raise ValueError("nonpositive snapshot values inside the subdomain")
-        sub_mass.append(subdomain_torsion.integrate(f))
-        log_terms.append(subdomain_torsion.integrate(
-            Field(grid, phi.values * np.where(inside, np.log(np.clip(f.values, 1e-300, None)), 0.0))))
-    sub_mass = np.asarray(sub_mass)
-    log_terms = np.asarray(log_terms)
+    values = np.stack([f.values for _, f in snapshots])
+    if np.min(values[:, inside]) <= 0:
+        raise ValueError("nonpositive snapshot values inside the subdomain")
+    sub_mass = _row_sums(weights * values)
+    log_terms = _row_sums(weights * (phi.values * np.where(
+        inside, np.log(np.clip(values, 1e-300, None)), 0.0)))
 
     time_int = np.concatenate([[0.0], np.cumsum(
         0.5 * (sub_mass[1:] + sub_mass[:-1]) * np.diff(times))])
@@ -238,22 +238,16 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
     rows = _match_rows(trace, times)
     energies = trace.energy[rows]
 
-    weighted = []
-    collar_e = []
-    uq_int = []
-    eta = 0.0
-    for t, f in snapshots:
-        v = f.values
-        grads = mesh._cell_gradients(v, grid)
-        gsq = sum(g * g for g in grads)
-        ucell = np.clip(mesh._cell_mean(v, grid), 1e-300, None)
-        weighted.append(cellvol * float(np.sum(ucell ** (q - 1.0) * gsq)))
-        collar_e.append(cellvol * float(np.sum(gsq[collar_cells])))
-        uq_int.append(integrate(Field(grid, v ** q)))
-        eta = max(eta, float(v[collar_nodes].max()))
-    weighted = np.asarray(weighted)
-    collar_e = np.asarray(collar_e)
-    uq_int = np.asarray(uq_int)
+    values = np.stack([f.values for _, f in snapshots])
+    gsq = sum(g * g for g in mesh._cell_gradients(values, grid))
+    ucell = np.clip(mesh._cell_mean(values, grid), 1e-300, None)
+    weighted = cellvol * _row_sums(ucell ** (q - 1.0) * gsq)
+    collar_e = cellvol * _row_sums(gsq[:, collar_cells])
+    uq = values ** q
+    if not np.isfinite(uq).all():
+        raise ValueError("cannot integrate a field with non-finite values")
+    uq_int = _row_sums(grid.quad_weights * uq)
+    eta = max(0.0, float(values[:, collar_nodes].max()))
 
     def trapz_accum(series):
         return np.concatenate([[0.0], np.cumsum(

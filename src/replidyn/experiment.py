@@ -205,6 +205,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             "outcome": result.outcome,
             "t_last": result.t_last,
             "sup_cap": result.sup_cap,
+            "epsilon": params.epsilon,
+            "omega_measure": grid.volume,
             "final_mass": float(result.trace.mass[-1]),
             "final_corrected_mass": float(result.trace.corrected_mass[-1]),
             "final_sup_norm": float(result.trace.sup_norm[-1]),

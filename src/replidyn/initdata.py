@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from . import mesh
 from .elliptic import TorsionSolution, phi_weighted_sup, solve_torsion
@@ -155,6 +154,7 @@ def mollify(u0: Field, radius: float) -> Field:
     boundary bands is preserved exactly because the discrete kernel sums
     to one and the translation does not touch the bulk.
     """
+    from scipy.ndimage import convolve1d  # slow import; only the constructed profile mollifies
     grid = u0.grid
     if radius < min(grid.h) * (1.0 - 1e-12):
         raise InitDataError(

@@ -152,19 +152,20 @@ def laplacian(f: Field, boundary_value: float) -> Field:
 
 
 def _cell_gradients(v: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Forward-difference gradient components at cell midpoints."""
+    """Forward-difference gradient components at cell midpoints, of one field
+    or of a stack of fields along a leading axis."""
     if grid.dimension == 1:
-        return [(v[1:] - v[:-1]) / grid.h[0]]
+        return [(v[..., 1:] - v[..., :-1]) / grid.h[0]]
     hx, hy = grid.h
-    gx = 0.5 * ((v[1:, :-1] + v[1:, 1:]) - (v[:-1, :-1] + v[:-1, 1:])) / hx
-    gy = 0.5 * ((v[:-1, 1:] + v[1:, 1:]) - (v[:-1, :-1] + v[1:, :-1])) / hy
+    gx = 0.5 * ((v[..., 1:, :-1] + v[..., 1:, 1:]) - (v[..., :-1, :-1] + v[..., :-1, 1:])) / hx
+    gy = 0.5 * ((v[..., :-1, 1:] + v[..., 1:, 1:]) - (v[..., :-1, :-1] + v[..., 1:, :-1])) / hy
     return [gx, gy]
 
 
 def _cell_mean(v: np.ndarray, grid: Grid) -> np.ndarray:
     if grid.dimension == 1:
-        return 0.5 * (v[1:] + v[:-1])
-    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+        return 0.5 * (v[..., 1:] + v[..., :-1])
+    return 0.25 * (v[..., :-1, :-1] + v[..., 1:, :-1] + v[..., :-1, 1:] + v[..., 1:, 1:])
 
 
 def _cell_volume(grid: Grid) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import replidyn.experiment as experiment_mod
-from replidyn.cli import main
+from replidyn.cli import build_parser, main
 from replidyn.config import ConfigError, SweepSpec, config_to_text, parse_config
 from replidyn.experiment import run_experiment, run_sweep
 
@@ -213,20 +213,75 @@ solver.snapshot_stride = 20
 """
 
 
-def test_verify_reproduces_diagnostics_of_run(tmp_path, capsys):
+DEEP_BLOWUP = CANONICAL_BLOWUP.replace("solver.epsilon = 1e-3", "solver.epsilon = 1e-9").replace(
+    "solver.dt_init = 1e-4", "solver.dt_init = 1e-5\nsolver.sup_cap = 1e4")
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL_BLOWUP,
+    "grid.dimension = 2\ngrid.n = 21 21\n" + CANONICAL_BLOWUP.replace("grid.n = 201\n", ""),
+    DEEP_BLOWUP,
+], ids=["1d-canonical", "2d-21", "eps-1e-9"])
+def test_verify_reproduces_diagnostics_of_run(text, tmp_path, capsys):
     # verify must judge the stored artifacts against the run's own sup cap
-    cfg_path = _write_cfg(tmp_path, CANONICAL_BLOWUP)
+    cfg_path = _write_cfg(tmp_path, text)
     out = tmp_path / "run"
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
-    main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
-          "--snapshots", str(out / "snapshots.ndjson"),
-          "--out", str(tmp_path / "verify.csv")])
+    assert main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson"),
+                 "--out", str(tmp_path / "verify.csv")]) == 0
     got = (tmp_path / "verify.csv").read_text().splitlines()
     want = (out / "diagnostics.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in got][1:] == [
         "mass_ode", "h_identity", "phi_norm", "gradient_bound",
         "boundary_concentration"]
     assert got == want
+
+
+def test_verify_reads_epsilon_from_the_run(tmp_path, capsys):
+    # a config that disagrees with the run on epsilon must not move the audit
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_cfg(tmp_path, CANONICAL_BLOWUP),
+                 "--out", str(out)]) == 0
+    other = _write_cfg(tmp_path, CANONICAL_BLOWUP.replace(
+        "solver.epsilon = 1e-3", "solver.epsilon = 1e-2"), "other")
+    main(["verify", "--config", other, "--trace", str(out / "trace.csv"),
+          "--snapshots", str(out / "snapshots.ndjson"),
+          "--out", str(tmp_path / "verify.csv")])
+    assert ((tmp_path / "verify.csv").read_text()
+            == (out / "diagnostics.csv").read_text())
+
+
+@pytest.mark.parametrize("key", ["epsilon", "omega_measure", "sup_cap"])
+def test_verify_names_a_key_the_summary_lacks(key, tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, FAST_RUN)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    del summary[key]
+    (out / "summary.json").write_text(json.dumps(summary))
+    code = main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson")])
+    assert code == 1
+    assert f"records no {key}" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg_path = _write_cfg(tmp_path, FAST_RUN)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    common = ["--config", cfg_path, "--trace", str(out / "trace.csv"),
+              "--snapshots", str(out / "snapshots.ndjson")]
+    assert main(["verify", *common, "--checks", "mass_ode",
+                 "--out", str(tmp_path / "one.csv")]) == 0
+    capsys.readouterr()
+    # neither the run's --out nor the first verify's --checks carries over
+    assert main(["verify", *common]) == 0
+    printed = [row.split(",")[0] for row in capsys.readouterr().out.splitlines()]
+    assert printed == ["check", "mass_ode", "phi_norm", "gradient_bound",
+                       "boundary_concentration"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.cfg", "one.csv", "run"]
 
 
 def test_verify_needs_the_run_summary(tmp_path, capsys):

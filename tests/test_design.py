@@ -1,9 +1,12 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one owner of the singular time, and the removed config keys and
-values rejected by name."""
+writer, one owner of the singular time, the removed config keys and values
+rejected by name, and no import that only a rarely used path needs."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,13 @@ def test_one_function_estimates_the_singular_time():
 def test_removed_keys_and_values_are_rejected(key, value):
     with pytest.raises(ConfigError, match=rf"line 2: .*{re.escape(key)}"):
         parse_config(f"grid.n = 51\n{key} = {value}\n")
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # only the constructed profile's mollifier convolves; the default torsion
+    # profile must not pay for importing scipy.ndimage
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, replidyn.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

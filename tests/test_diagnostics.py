@@ -1,15 +1,20 @@
 """Identity and estimate checks on traces and snapshots."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import replidyn as rd
 from replidyn import diagnostics as diag
-from replidyn.diagnostics import Trace
+from replidyn import mesh
+from replidyn.diagnostics import TRACE_COLUMNS, ConcentrationResult, Trace
 from replidyn.experiment import atomic_write_text
-from replidyn.mesh import Field
+from replidyn.mesh import Field, integrate
 
-from conftest import EPS, normalized_mass_residual, precap_trace
+from conftest import EPS, normalized_mass_residual, precap_trace, trichotomy_params
 
 
 def synthetic_trace(t, mass, energy, epsilon=None, omega=None):
@@ -179,6 +184,148 @@ def test_trace_csv_roundtrip_bytes(run_decay, tmp_path):
     atomic_write_text(str(p2), back.to_csv)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.t, run_decay.trace.t)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def traces(draw):
+    times = draw(st.lists(FINITE, min_size=1, max_size=40, unique=True))
+    n = len(times)
+    columns = [draw(st.lists(FINITE, min_size=n, max_size=n)) for _ in range(6)]
+    floored = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    return Trace(np.sort(np.array(times)), *map(np.array, columns),
+                 np.array(floored, dtype=int))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=traces())
+def test_trace_csv_roundtrip_is_exact(trace, tmp_path_factory):
+    # random finite float64 columns (subnormals, -0.0, the largest doubles) and
+    # floored counts come back with every bit, and write back the same bytes
+    d = tmp_path_factory.mktemp("trace")
+    atomic_write_text(str(d / "a.csv"), trace.to_csv)
+    back = Trace.from_csv(d / "a.csv")
+    for name in ("t", "dt", "mass", "energy", "sup_norm", "phi_norm", "rho_value"):
+        assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+    assert back.floored.tolist() == trace.floored.tolist()
+    atomic_write_text(str(d / "b.csv"), back.to_csv)
+    assert (d / "b.csv").read_bytes() == (d / "a.csv").read_bytes()
+
+
+HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER, "empty trace"),
+    (HEADER + "\r\n", "empty trace"),
+    (HEADER.replace("mass", "m") + "0.0,1,1,1,1,1,1,0\r\n", "unexpected trace columns"),
+    (HEADER + "0.0,1,1,1,1,1,1,0\r\n0.1,1,1,1,1,1\r\n", "column"),
+], ids=["header-only", "blank-body", "wrong-header", "short-row"])
+def test_trace_reader_rejects_malformed_files(text, message, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
+        with pytest.raises(ValueError, match=message):
+            Trace.from_csv(path)
+
+
+# -- the per-snapshot loops the stacked checks replaced, kept as oracles --------
+
+def gradient_bound_loop(trace, snapshots, subdomain_torsion, u0eps, tol=0.1):
+    grid = u0eps.grid
+    phi = subdomain_torsion.phi
+    inside = subdomain_torsion.weights > 0
+    times = np.array([t for t, _ in snapshots])
+    rows = np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
+    log_u0_term = subdomain_torsion.integrate(
+        Field(grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
+    sub_mass, log_terms = [], []
+    for t, f in snapshots:
+        sub_mass.append(subdomain_torsion.integrate(f))
+        log_terms.append(subdomain_torsion.integrate(
+            Field(grid, phi.values * np.where(inside, np.log(np.clip(f.values, 1e-300, None)), 0.0))))
+    sub_mass = np.asarray(sub_mass)
+    log_terms = np.asarray(log_terms)
+    time_int = np.concatenate([[0.0], np.cumsum(
+        0.5 * (sub_mass[1:] + sub_mass[:-1]) * np.diff(times))])
+    sup_mass = np.maximum.accumulate(trace.mass)[rows]
+    e0 = trace.energy[rows[0]]
+    with np.errstate(over="ignore"):
+        rhs = e0 * np.exp((sup_mass / (2.0 * subdomain_torsion.c_subdomain))
+                          * (log_terms - log_u0_term + time_int))
+    lhs = trace.energy[rows]
+    return times, lhs <= rhs * (1.0 + tol) + 1e-12, lhs, rhs
+
+
+def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
+    grid = u0eps.grid
+    cellvol = float(np.prod(grid.h))
+    collar_cells = mesh.cell_distance_to_boundary(grid) < margin
+    collar_nodes = mesh.distance_to_boundary(grid) < margin
+    times = np.array([t for t, _ in snapshots])
+    rows = np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
+    energies = trace.energy[rows]
+    weighted, collar_e, uq_int = [], [], []
+    eta = 0.0
+    for t, f in snapshots:
+        v = f.values
+        gsq = sum(g * g for g in mesh._cell_gradients(v, grid))
+        ucell = np.clip(mesh._cell_mean(v, grid), 1e-300, None)
+        weighted.append(cellvol * float(np.sum(ucell ** (q - 1.0) * gsq)))
+        collar_e.append(cellvol * float(np.sum(gsq[collar_cells])))
+        uq_int.append(integrate(Field(grid, v ** q)))
+        eta = max(eta, float(v[collar_nodes].max()))
+    weighted, collar_e, uq_int = map(np.asarray, (weighted, collar_e, uq_int))
+
+    def trapz_accum(series):
+        return np.concatenate([[0.0], np.cumsum(
+            0.5 * (series[1:] + series[:-1]) * np.diff(times))])
+
+    lhs_series = q * trapz_accum(weighted)
+    accumulated = trapz_accum(uq_int * energies)
+    bound_series = -(1.0 / q) * uq_int + (1.0 / q) * uq_int[0] + accumulated
+    bound = float(bound_series[-1])
+    return ConcentrationResult(float(lhs_series[-1]), bound,
+                               float(trapz_accum(collar_e)[-1]),
+                               (2.0 * eta) ** (1.0 - q) * bound / q, eta,
+                               bound_series, accumulated)
+
+
+@pytest.fixture(scope="module")
+def run_2d21():
+    grid = rd.build_grid(2, [1.0, 1.0], [21, 21])
+    torsion = rd.solve_torsion(grid)
+    u0 = rd.torsion_profile(grid, 1.5, EPS, torsion)
+    return rd.run(u0, trichotomy_params(), torsion)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fixture_name", ["run_blowup", "run_2d21", "run_deep"])
+def test_stacked_checks_equal_the_per_snapshot_loops(fixture_name, request):
+    result = request.getfixturevalue(fixture_name)
+    grid = result.snapshots[0][1].grid
+    sub = rd.solve_torsion_subdomain(grid, 0.25)
+    u0 = result.snapshots[0][1]
+    keep = [(t, f) for (t, f) in result.snapshots
+            if float(np.max(f.values)) < 0.5 * result.sup_cap]
+    assert 2 <= len(keep) < len(result.snapshots)
+    for snaps in (keep, result.snapshots):
+        assert_same_bits(diag.gradient_bound_check(result.trace, snaps, sub, u0),
+                         gradient_bound_loop(result.trace, snaps, sub, u0))
+        for q in (0.5, 0.3):  # u**0.5 takes numpy's sqrt path, u**0.3 its pow path
+            got = diag.boundary_concentration(snaps, q, 0.25, u0, result.trace)
+            want = boundary_concentration_loop(snaps, q, 0.25, u0, result.trace)
+            assert_same_bits(list(vars(got).values()), list(vars(want).values()))
 
 
 def test_time_weighted_median_weights_by_interval():
