@@ -62,8 +62,8 @@ def _recorded_run(trace_path: str) -> tuple[float, float, float]:
     keys = ("epsilon", "omega_measure", "sup_cap")
     path = os.path.join(os.path.dirname(os.path.abspath(trace_path)), "summary.json")
     if not os.path.exists(path):
-        raise ValueError(f"{path} not found: verify reads the run's "
-                         f"{', '.join(keys)} from the summary.json beside --trace")
+        raise ValueError(f"{path} not found: the run's {', '.join(keys)} "
+                         f"are read from the summary.json beside --trace")
     with open(path) as fh:
         summary = json.load(fh)
     for key in keys:
@@ -110,8 +110,8 @@ def _cmd_initdata(args) -> int:
 def _cmd_blowup(args) -> int:
     cfg = _load_config(args.config)
     grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    eps = cfg["solver.epsilon"]
-    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=grid.volume)
+    eps, omega_measure, _ = _recorded_run(args.trace)
+    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
     snapshots = read_snapshots(args.snapshots, grid)
 
     text = csv_text(["metric", "value"], blowup_metrics(trace, snapshots, grid))

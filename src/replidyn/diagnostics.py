@@ -145,11 +145,16 @@ def h_identity_check(trace: Trace):
     y = trace.corrected_mass
     if y[0] <= 1.0:
         raise ValueError("identity only valid for supercritical mass")
-    h_acc = np.concatenate([[0.0], np.cumsum(
-        0.5 * (trace.energy[1:] + trace.energy[:-1]) * np.diff(trace.t))])
+    h_acc = _trapz_accum(trace.energy, trace.t)
     with np.errstate(invalid="ignore", divide="ignore"):
         log_ratio = np.log((y - 1.0) / (y[0] - 1.0))
     return h_acc, log_ratio, np.abs(h_acc - log_ratio)
+
+
+def _trapz_accum(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of a sampled series from the first time to each time."""
+    return np.concatenate([[0.0], np.cumsum(
+        0.5 * (series[1:] + series[:-1]) * np.diff(times))])
 
 
 def _match_rows(trace: Trace, times) -> np.ndarray:
@@ -192,8 +197,7 @@ def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolu
     log_terms = _row_sums(weights * (phi.values * np.where(
         inside, np.log(np.clip(values, 1e-300, None)), 0.0)))
 
-    time_int = np.concatenate([[0.0], np.cumsum(
-        0.5 * (sub_mass[1:] + sub_mass[:-1]) * np.diff(times))])
+    time_int = _trapz_accum(sub_mass, times)
     sup_mass = np.maximum.accumulate(trace.mass)[rows]
     e0 = trace.energy[rows[0]]
 
@@ -220,17 +224,22 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
                            trace: Trace) -> ConcentrationResult:
     """Weighted space-time gradient integral against its endpoint bound.
 
-    lhs accumulates  q * u^(q-1) |grad u|^2  over cells and time; the bound is
+    lhs accumulates  q * u^(q-1) |grad u|^2  over the grid edges and time, with
+    u^(q-1) taken at edge midpoints; the bound is
         -(1/q) ∫u(T)^q + (1/q) ∫u0^q + ∫_0^T ( ∫u^q ) E dt .
-    Also returns the energy in the boundary collar of width ``margin`` and its
-    (2 eta)^(1-q) * bound / q  estimate, with eta the largest collar value.
+    Also returns the energy on the collar edges, those whose midpoint lies
+    within ``margin`` of the boundary, and its  (2 eta)^(1-q) * bound / q
+    estimate, with eta the largest value at a node within ``margin``.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0,1), got {q}")
     grid = u0eps.grid
     cellvol = float(np.prod(grid.h))
-    cell_dist = mesh.cell_distance_to_boundary(grid)
-    collar_cells = cell_dist < margin
+    # edge midpoints are the edge means of the node coordinates
+    coords = np.stack(grid.coordinate_arrays())
+    extents = np.reshape(grid.extents, (-1,) + (1,) * grid.dimension)
+    collar_edges = [np.min(np.minimum(mid, extents - mid), axis=0) < margin
+                    for mid in mesh.edge_means(coords, grid)]
     node_dist = mesh.distance_to_boundary(grid)
     collar_nodes = node_dist < margin
 
@@ -239,26 +248,22 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
     energies = trace.energy[rows]
 
     values = np.stack([f.values for _, f in snapshots])
-    gsq = sum(g * g for g in mesh._cell_gradients(values, grid))
-    ucell = np.clip(mesh._cell_mean(values, grid), 1e-300, None)
-    weighted = cellvol * _row_sums(ucell ** (q - 1.0) * gsq)
-    collar_e = cellvol * _row_sums(gsq[:, collar_cells])
+    gsq = [g * g for g in mesh.edge_differences(values, grid)]
+    uedge = [np.clip(m, 1e-300, None) for m in mesh.edge_means(values, grid)]
+    weighted = cellvol * sum(_row_sums(w ** (q - 1.0) * g2) for w, g2 in zip(uedge, gsq))
+    collar_e = cellvol * sum(_row_sums(g2[:, c]) for g2, c in zip(gsq, collar_edges))
     uq = values ** q
     if not np.isfinite(uq).all():
         raise ValueError("cannot integrate a field with non-finite values")
     uq_int = _row_sums(grid.quad_weights * uq)
     eta = max(0.0, float(values[:, collar_nodes].max()))
 
-    def trapz_accum(series):
-        return np.concatenate([[0.0], np.cumsum(
-            0.5 * (series[1:] + series[:-1]) * np.diff(times))])
-
-    lhs_series = q * trapz_accum(weighted)
-    accumulated = trapz_accum(uq_int * energies)
+    lhs_series = q * _trapz_accum(weighted, times)
+    accumulated = _trapz_accum(uq_int * energies, times)
     u0q = uq_int[0]
     bound_series = -(1.0 / q) * uq_int + (1.0 / q) * u0q + accumulated
 
-    collar_series = trapz_accum(collar_e)
+    collar_series = _trapz_accum(collar_e, times)
     bound = float(bound_series[-1])
     collar_bound = (2.0 * eta) ** (1.0 - q) * bound / q
     return ConcentrationResult(float(lhs_series[-1]), bound, float(collar_series[-1]),
@@ -310,8 +315,7 @@ def weak_form_residual(snapshots, test_fn, test_fn_dt, epsilon: float,
         nonlocal_term.append(integrate(Field(grid, v * test.values)) * e_val)
 
     def trapz(series):
-        series = np.asarray(series)
-        return float(np.sum(0.5 * (series[1:] + series[:-1]) * np.diff(times)))
+        return float(_trapz_accum(np.asarray(series), times)[-1])
 
     term_dt = -trapz(mass_term)
     term_grad = trapz(grad_term)

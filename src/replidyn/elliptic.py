@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Field, Grid
+from .mesh import Field, Grid, trapezoid_weights
 
 __all__ = [
     "TorsionSolution",
@@ -36,10 +36,8 @@ class TorsionSolution:
     """
 
     phi: Field
-    domain_tag: str
     c_subdomain: float
     weights: np.ndarray
-    residual: float
 
     def integrate(self, f: Field) -> float:
         """Integral of f over this solution's own domain."""
@@ -71,37 +69,18 @@ def _solve_poisson_unit_rhs(shape, h) -> np.ndarray:
     a = _interior_laplacian(shape, h)
     b = np.ones(a.shape[0])
     x = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    residual = float(np.max(np.abs(a @ x - b)))
     interior_shape = tuple(k - 2 for k in shape)
     full = np.zeros(shape)
     core = tuple(slice(1, -1) for _ in shape)
     full[core] = x.reshape(interior_shape)
-    return full, residual
-
-
-def _box_weights(axes_idx: list[np.ndarray], grid: Grid) -> np.ndarray:
-    """Trapezoid weights of the sub-box spanned by the given node indices,
-    embedded in a full-grid array."""
-    w_axes = []
-    for idx, step in zip(axes_idx, grid.h):
-        w = np.full(len(idx), step)
-        w[0] = w[-1] = 0.5 * step
-        w_axes.append(w)
-    sub = w_axes[0]
-    for w in w_axes[1:]:
-        sub = np.multiply.outer(sub, w)
-    full = np.zeros(grid.shape)
-    full[np.ix_(*axes_idx)] = sub
     return full
 
 
 def solve_torsion(grid: Grid) -> TorsionSolution:
     """Torsion function of the full domain."""
-    phi, residual = _solve_poisson_unit_rhs(grid.shape, grid.h)
-    field = Field(grid, phi)
+    phi = _solve_poisson_unit_rhs(grid.shape, grid.h)
     weights = grid.quad_weights
-    c = float(np.sum(weights * phi))
-    return TorsionSolution(field, "omega", c, weights, residual)
+    return TorsionSolution(Field(grid, phi), float(np.sum(weights * phi)), weights)
 
 
 def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
@@ -121,13 +100,12 @@ def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
             )
         axes_idx.append(keep)
     sub_shape = tuple(len(idx) for idx in axes_idx)
-    phi_sub, residual = _solve_poisson_unit_rhs(sub_shape, grid.h)
+    box = np.ix_(*axes_idx)
     full = np.zeros(grid.shape)
-    full[np.ix_(*axes_idx)] = phi_sub
-    weights = _box_weights(axes_idx, grid)
-    c = float(np.sum(weights * full))
-    return TorsionSolution(Field(grid, full), f"subdomain(margin={margin:g})",
-                           c, weights, residual)
+    full[box] = _solve_poisson_unit_rhs(sub_shape, grid.h)
+    weights = np.zeros(grid.shape)
+    weights[box] = trapezoid_weights(sub_shape, grid.h)
+    return TorsionSolution(Field(grid, full), float(np.sum(weights * full)), weights)
 
 
 def phi_weighted_sup(v: Field, torsion: TorsionSolution) -> float:

@@ -304,19 +304,19 @@ def construct_initial(recipe: InitDataRecipe,
     mass_defect = integrate(recipe.u0) - integrate(phi)
 
     cellvol = float(np.prod(grid.h))
-    grad_rho = mesh._cell_gradients(rho.values, grid)
-    grad_phi_t = mesh._cell_gradients(phi_t.values, grid)
-    phi_t_cells = mesh._cell_mean(phi_t.values, grid)
-    omr_cells = mesh._cell_mean(one_minus_rho, grid)
-    grad_rho_sq = sum(g * g for g in grad_rho)
-    grad_phi_t_sq = sum(g * g for g in grad_phi_t)
+
+    def collar_term(factor: np.ndarray, field: np.ndarray) -> float:
+        # ∫ factor^2 |grad field|^2 as an edge sum, like the Dirichlet energy,
+        # with the factor at the edge midpoints
+        return cellvol * float(sum(np.sum(m**2 * (g * g)) for m, g in zip(
+            mesh.edge_means(factor, grid), mesh.edge_differences(field, grid))))
 
     # Quadratic for the boundary-compatibility constant.  The coefficients are
     # consistent with the mass normalization below (corrected mass of the
     # result equals the mass of u0), which removes the explicit epsilon terms
     # that a mass-preserving normalization would carry.
-    a_coef = (cellvol * float(np.sum(phi_t_cells**2 * grad_rho_sq))
-              + cellvol * float(np.sum(omr_cells**2 * grad_phi_t_sq))
+    a_coef = (collar_term(phi_t.values, rho.values)
+              + collar_term(one_minus_rho, phi_t.values)
               + n_theta * s_collar**2)
     b_coef = -1.0 - 2.0 * s_collar * inner_phi_theta - 2.0 * s_collar * mass_defect * n_theta
     g_coef = e_phi + 2.0 * mass_defect * inner_phi_theta + mass_defect**2 * n_theta

@@ -252,6 +252,21 @@ def test_verify_reads_epsilon_from_the_run(tmp_path, capsys):
             == (out / "diagnostics.csv").read_text())
 
 
+def test_blowup_reads_epsilon_from_the_run(tmp_path, capsys):
+    # read with a config that says epsilon 1e-2, the run's own blowup.csv comes
+    # back byte for byte (taking epsilon from the config moved t_max_estimate
+    # from 0.0367525 to 0.0366249)
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_cfg(tmp_path, CANONICAL_BLOWUP),
+                 "--out", str(out)]) == 0
+    other = _write_cfg(tmp_path, CANONICAL_BLOWUP.replace(
+        "solver.epsilon = 1e-3", "solver.epsilon = 1e-2"), "other")
+    assert main(["blowup", "--config", other, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson"),
+                 "--out", str(tmp_path / "blowup.csv")]) == 0
+    assert (tmp_path / "blowup.csv").read_bytes() == (out / "blowup.csv").read_bytes()
+
+
 @pytest.mark.parametrize("key", ["epsilon", "omega_measure", "sup_cap"])
 def test_verify_names_a_key_the_summary_lacks(key, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, FAST_RUN)

@@ -1,6 +1,7 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one owner of the singular time, the removed config keys and values
-rejected by name, and no import that only a rarely used path needs."""
+writer, one owner of the singular time, no reads of mesh's private names
+outside mesh, the removed config keys and values rejected by name, and no
+import that only a rarely used path needs."""
 
 import ast
 import os
@@ -56,6 +57,23 @@ def test_one_function_estimates_the_singular_time():
              for node in ast.walk(f) if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "estimate_tmax"]
     assert sites == ["blowup.blowup_metrics"]
+
+
+def test_only_mesh_reads_private_mesh_names():
+    # the discrete gradient is public (mesh.edge_differences, mesh.edge_means);
+    # no other module reaches into mesh's private helpers
+    reads = []
+    for name, text in _sources().items():
+        if name == "mesh":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and ast.unparse(node.value) == "mesh"):
+                reads.append(f"{name}: mesh.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "mesh":
+                reads += [f"{name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert reads == []
 
 
 @pytest.mark.parametrize("key, value", [

@@ -263,7 +263,14 @@ def gradient_bound_loop(trace, snapshots, subdomain_torsion, u0eps, tol=0.1):
 def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
     grid = u0eps.grid
     cellvol = float(np.prod(grid.h))
-    collar_cells = mesh.cell_distance_to_boundary(grid) < margin
+    edges = []  # per axis: (upper end, lower end, collar mask) of its edges
+    for axis in range(grid.dimension):
+        hi = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.dimension))
+        lo = tuple(slice(None, -1) if k == axis else slice(None) for k in range(grid.dimension))
+        mids = np.meshgrid(*[0.5 * (x[1:] + x[:-1]) if k == axis else x
+                             for k, x in enumerate(grid.axes)], indexing="ij")
+        dist = np.min([np.minimum(x, ext - x) for x, ext in zip(mids, grid.extents)], axis=0)
+        edges.append((hi, lo, dist < margin))
     collar_nodes = mesh.distance_to_boundary(grid) < margin
     times = np.array([t for t, _ in snapshots])
     rows = np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
@@ -272,10 +279,14 @@ def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
     eta = 0.0
     for t, f in snapshots:
         v = f.values
-        gsq = sum(g * g for g in mesh._cell_gradients(v, grid))
-        ucell = np.clip(mesh._cell_mean(v, grid), 1e-300, None)
-        weighted.append(cellvol * float(np.sum(ucell ** (q - 1.0) * gsq)))
-        collar_e.append(cellvol * float(np.sum(gsq[collar_cells])))
+        w_sum, c_sum = 0, 0
+        for axis, (hi, lo, collar) in enumerate(edges):
+            g = np.diff(v, axis=axis) / grid.h[axis]
+            uedge = np.clip(0.5 * (v[hi] + v[lo]), 1e-300, None)
+            w_sum += np.sum(uedge ** (q - 1.0) * (g * g))
+            c_sum += np.sum((g * g)[collar])
+        weighted.append(cellvol * float(w_sum))
+        collar_e.append(cellvol * float(c_sum))
         uq_int.append(integrate(Field(grid, v ** q)))
         eta = max(eta, float(v[collar_nodes].max()))
     weighted, collar_e, uq_int = map(np.asarray, (weighted, collar_e, uq_int))

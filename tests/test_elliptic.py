@@ -137,6 +137,6 @@ def test_poincare_constant_matches_inverse_power_iteration_2d():
 def test_torsion_serialization_roundtrip(grid201, torsion201, tmp_path):
     path = tmp_path / "torsion.ndjson"
     atomic_write_text(str(path), lambda fh: rd.write_snapshots(
-        fh, [(0.0, torsion201.phi)], extra={"domain_tag": torsion201.domain_tag}))
+        fh, [(0.0, torsion201.phi)]))
     back = rd.read_snapshots(path, grid201)
     assert np.array_equal(back[0][1].values, torsion201.phi.values)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from replidyn.experiment import atomic_write_text
-from replidyn.mesh import (Field, build_grid, dirichlet_energy, gradient_inner,
-                           integrate, laplacian, read_snapshots, write_snapshots)
+from replidyn.mesh import (Field, build_grid, dirichlet_energy, edge_differences,
+                           edge_means, gradient_inner, integrate, laplacian,
+                           read_snapshots, write_snapshots)
 
 
 def torsion_exact(x):
@@ -144,23 +145,32 @@ def _random_trig_field(grid, seed=7):
     return Field(grid, v)
 
 
-def test_summation_by_parts_1d_exact():
-    g = build_grid(1, [1.0], [81])
+@pytest.mark.parametrize("dimension, n", [(1, 81), (2, 41), (2, 81)],
+                         ids=["1d-81", "2d-41", "2d-81"])
+def test_summation_by_parts_exact(dimension, n):
+    # the edge-sum energy is the exact partner of the Laplacian under the
+    # trapezoid weights: sum w u lap(u) = -E(u) to roundoff, in 1D and in 2D
+    # (measured relative gaps 1.5e-16, 0 and 1.2e-16)
+    g = build_grid(dimension, [1.0] * dimension, [n] * dimension)
     f = _random_trig_field(g)
     lap = laplacian(f, 0.0)
-    sbp = np.sum(g.quad_weights * f.values * lap.values) + dirichlet_energy(f, 0.0)
-    assert abs(sbp) <= 1e-10
+    energy = dirichlet_energy(f, 0.0)
+    assert abs(np.sum(g.quad_weights * f.values * lap.values) + energy) <= 1e-12 * energy
 
 
-def test_summation_by_parts_2d_first_order():
-    errs = []
-    for n in (41, 81):
-        g = build_grid(2, [1.0, 1.0], [n, n])
-        f = _random_trig_field(g)
-        lap = laplacian(f, 0.0)
-        errs.append(abs(np.sum(g.quad_weights * f.values * lap.values)
-                        + dirichlet_energy(f, 0.0)))
-    assert np.log2(errs[0] / errs[1]) >= 1.0
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_edge_helpers_take_a_stack_of_fields(dimension):
+    g = build_grid(dimension, [1.0, 2.0][:dimension], [7, 5][:dimension])
+    stack = np.random.default_rng(5).random((3, *g.shape))
+    for helper in (edge_differences, edge_means):
+        stacked = helper(stack, g)
+        assert len(stacked) == dimension
+        for i, field in enumerate(stack):
+            for axis, (a, b) in enumerate(zip(stacked, helper(field, g))):
+                assert b.shape == tuple(k - (j == axis) for j, k in enumerate(g.shape))
+                assert a[i].tobytes() == b.tobytes()
+    x = edge_differences(g.coordinate_arrays()[0], g)
+    assert np.allclose(x[0], 1.0) and all(np.all(d == 0.0) for d in x[1:])
 
 
 def test_gradient_inner_is_polarized_energy():

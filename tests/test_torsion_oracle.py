@@ -16,7 +16,7 @@ import pytest
 
 import replidyn as rd
 from replidyn import blowup
-from replidyn.mesh import Field, integrate
+from replidyn.mesh import Field, dirichlet_energy, integrate
 
 from conftest import (DEEP_EPS, deep_params, torsion_blowup_time,
                       torsion_decay_time, trichotomy_params)
@@ -43,14 +43,17 @@ def test_deep_estimate_converges_at_first_order(run_deep, grid201, torsion201):
 
 
 def test_2d_estimate_within_first_order_bound():
-    # canonical settings at 41^2: measured +2.4%, against a bound of
+    # canonical settings at 41^2: measured +2.1%, as in 1D, against a bound of
     # ERROR_PER_C * 0.015 = 4.5% (the two-model fit it replaces was at +7.1%)
     grid = rd.build_grid(2, [1.0, 1.0], [41, 41])
     torsion = rd.solve_torsion(grid)
+    # the torsion law's one constant: E(phi) = integral of phi, to roundoff
+    c = integrate(torsion.phi)
+    assert abs(dirichlet_energy(torsion.phi, 0.0) - c) <= 1e-13 * c
     u0 = rd.torsion_profile(grid, 1.5, 1e-3, torsion)
     result = rd.run(u0, trichotomy_params(), torsion)
     assert result.outcome == "BlowUp"
-    t_exact = torsion_blowup_time(1.5, integrate(torsion.phi))
+    t_exact = torsion_blowup_time(1.5, c)
     rel = blowup.estimate_tmax(result.trace)[0] / t_exact - 1.0
     assert 0.0 < rel <= ERROR_PER_C * 0.015
 
