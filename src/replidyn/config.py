@@ -77,9 +77,6 @@ class ExperimentConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def get(self, key: str):
-        return self.values[key]
-
     def with_value(self, key: str, value) -> "ExperimentConfig":
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")

@@ -9,6 +9,7 @@ time step also uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,12 @@ class TorsionSolution:
     def max_phi(self) -> float:
         return float(self.phi.values.max())
 
+    @functools.cached_property
+    def positive_set(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the nodes where phi is positive, and phi there."""
+        index = np.flatnonzero(self.phi.values > 0.0)
+        return index, self.phi.values.take(index)
+
 
 def _interior_laplacian(shape: tuple[int, ...], h: tuple[float, ...]) -> sp.csr_matrix:
     """Negative of the Dirichlet Laplacian (SPD) on the interior nodes."""
@@ -64,8 +71,10 @@ def _interior_laplacian(shape: tuple[int, ...], h: tuple[float, ...]) -> sp.csr_
     return (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsr()
 
 
+@functools.lru_cache(maxsize=16)
 def _solve_poisson_unit_rhs(shape, h) -> np.ndarray:
-    """Solve -Δφ = 1 on the interior of a box with zero boundary data."""
+    """Solve -Δφ = 1 on the interior of a box with zero boundary data, once
+    per (shape, h) and process; the shared array is read-only."""
     a = _interior_laplacian(shape, h)
     b = np.ones(a.shape[0])
     x = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
@@ -73,6 +82,7 @@ def _solve_poisson_unit_rhs(shape, h) -> np.ndarray:
     full = np.zeros(shape)
     core = tuple(slice(1, -1) for _ in shape)
     full[core] = x.reshape(interior_shape)
+    full.flags.writeable = False
     return full
 
 
@@ -108,14 +118,15 @@ def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
     return TorsionSolution(Field(grid, full), float(np.sum(weights * full)), weights)
 
 
-def phi_weighted_sup(v: Field, torsion: TorsionSolution) -> float:
+def phi_weighted_sup(v: Field | np.ndarray, torsion: TorsionSolution) -> float:
     """max |v/phi| over the nodes where phi is positive (the essential sup
-    ignores the measure-zero boundary, where phi vanishes)."""
-    phi = torsion.phi.values
-    mask = phi > 0.0
-    if not mask.any():
+    ignores the measure-zero boundary, where phi vanishes).  ``v`` is a field
+    or its full-grid values."""
+    index, phi = torsion.positive_set
+    if not index.size:
         raise ValueError("torsion solution has no positive interior values")
-    return float(np.max(np.abs(v.values[mask] / phi[mask])))
+    values = v.values if isinstance(v, Field) else v
+    return float(np.max(np.abs(values.take(index) / phi)))
 
 
 def measure_poincare_constant(grid: Grid) -> float:

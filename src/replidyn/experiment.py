@@ -3,10 +3,11 @@
 A run executes initial data construction, the solver, the estimate checks,
 and blow-up classification, writing
 
-    trace.csv, snapshots.ndjson, u0eps.ndjson, diagnostics.csv,
-    blowup.csv (blow-up runs), summary.json
+    trace.csv, snapshots.ndjson, diagnostics.csv, blowup.csv (blow-up runs),
+    summary.json
 
-into its output directory.  Every file goes through ``atomic_write_text``
+into its output directory; the initial data is the first record of
+snapshots.ndjson.  Every file goes through ``atomic_write_text``
 (a fresh file, then os.replace), and every LF-terminated CSV is rendered by
 ``csv_text``.
 Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance.
@@ -194,8 +195,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         atomic_write_text(os.path.join(out_dir, "trace.csv"), result.trace.to_csv)
         atomic_write_text(os.path.join(out_dir, "snapshots.ndjson"),
                           lambda fh: write_snapshots(fh, result.snapshots))
-        atomic_write_text(os.path.join(out_dir, "u0eps.ndjson"),
-                          lambda fh: write_snapshots(fh, [(0.0, u0eps)]))
         if init_result is not None:
             atomic_write_text(os.path.join(out_dir, "initdata_report.csv"),
                               initdata_report_csv(init_result.report))
@@ -204,6 +203,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         summary = {
             "outcome": result.outcome,
             "t_last": result.t_last,
+            "steps": result.steps,
             "sup_cap": result.sup_cap,
             "epsilon": params.epsilon,
             "omega_measure": grid.volume,

@@ -32,6 +32,7 @@ __all__ = [
     "integrate",
     "laplacian",
     "dirichlet_energy",
+    "edge_energy",
     "gradient_inner",
     "distance_to_boundary",
     "write_snapshots",
@@ -194,8 +195,12 @@ def dirichlet_energy(f: Field, boundary_value: float) -> float:
     The edges touching the boundary are included, with the prescribed
     boundary value at boundary nodes.
     """
-    grid = f.grid
-    v = _with_boundary(f, boundary_value)
+    return edge_energy(_with_boundary(f, boundary_value), f.grid)
+
+
+def edge_energy(v: np.ndarray, grid: Grid) -> float:
+    """:func:`dirichlet_energy` of full-grid values whose boundary nodes
+    already hold the boundary value, as the time stepper's states do."""
     if not np.isfinite(v).all():
         raise ValueError("cannot evaluate the energy of a non-finite field")
     total = sum((g * g).sum() for g in edge_differences(v, grid))

@@ -45,6 +45,7 @@ sup norm could never trigger at moderate eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from scipy.sparse.linalg import splu
 
 from .diagnostics import Trace
 from .elliptic import TorsionSolution, _interior_laplacian, phi_weighted_sup, solve_torsion
-from .mesh import Field, Grid, dirichlet_energy, integrate
+from .mesh import Field, Grid, dirichlet_energy, edge_energy, integrate
 
 __all__ = [
     "SolverParams",
@@ -118,7 +119,7 @@ class SolverParams:
 @dataclass
 class SolverState:
     t: float
-    u: Field
+    u: np.ndarray  # full grid, boundary nodes at eps; never changed in place
     dt: float
     energy: float
     rho_value: float
@@ -137,6 +138,7 @@ class SimulationResult:
     final: Field
     max_floored_fraction: float
     floor_flagged: bool
+    steps: int
     factorizations: int  # sparse LU factorizations of the 2D solve (0 in 1D)
     cg_iterations: int   # preconditioned CG iterations of the 2D solve (0 in 1D)
 
@@ -147,28 +149,22 @@ class _Workspace:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.interior = grid.interior_mask
-        self.n_interior = int(self.interior.sum())
+        self.interior = (slice(1, -1),) * grid.dimension
+        self.interior_shape = tuple(k - 2 for k in grid.shape)
+        self.n_interior = math.prod(self.interior_shape)
         self.neg_lap = _interior_laplacian(grid.shape, grid.h)
-        self.bc = self._boundary_coupling(grid)
+        # bc with Lap_h u |interior = -neg_lap @ u_int + boundary_value * bc
+        bc = np.zeros(self.interior_shape)
+        for axis, step in enumerate(grid.h):
+            for end in (0, -1):
+                bc[(slice(None),) * axis + (end,)] += 1.0 / step**2
+        self.bc = bc.ravel()
         self.lu = None
         self.previous = None  # (u_int, dt) of the last 2D solve
         self.factorizations = 0
         self.cg_iterations = 0
         if grid.dimension == 1:
             self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
-
-    @staticmethod
-    def _boundary_coupling(grid: Grid) -> np.ndarray:
-        """The vector bc with Lap_h u |interior = -neg_lap @ u_int + boundary_value * bc."""
-        ones_bc = np.zeros(tuple(k - 2 for k in grid.shape))
-        for axis, step in enumerate(grid.h):
-            sl = [slice(None)] * grid.dimension
-            sl[axis] = 0
-            ones_bc[tuple(sl)] += 1.0 / step**2
-            sl[axis] = -1
-            ones_bc[tuple(sl)] += 1.0 / step**2
-        return ones_bc.ravel()
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -224,28 +220,17 @@ class _Workspace:
         return None
 
 
-def _default_sup_cap(u0: Field, epsilon: float, torsion: TorsionSolution) -> float:
-    sup0 = float(np.max(u0.values))
-    ceiling = 0.8 * torsion.max_phi / epsilon
-    return min(1e4 * sup0, ceiling)
-
-
 def step(state: SolverState, params: SolverParams,
-         workspace: _Workspace | None = None) -> SolverState:
-    """Advance one step; the returned state carries the controller's next dt
-    proposal and flags dt starvation instead of raising.  The step never
-    passes params.t_end: the last one is clamped to it, below dt_min if need
-    be, and that clamp is not starvation."""
+         workspace: _Workspace) -> SolverState:
+    """Advance one step; the returned state carries a fresh array, the
+    controller's next dt proposal and a dt starvation flag instead of raising.
+    The step never passes params.t_end: the last one is clamped to it, below
+    dt_min if need be, and that clamp is not starvation."""
     remaining = params.t_end - state.t
     if remaining <= 0.0:
         raise ValueError(f"state at t={state.t} has reached t_end={params.t_end}")
-    grid = state.u.grid
-    if workspace is None:
-        workspace = _Workspace(grid)
     eps = params.epsilon
-    interior = workspace.interior
-    u = state.u.values
-    u_int = u[interior]
+    u_int = state.u[workspace.interior].ravel()
 
     f = state.rho_value
     want = min(state.dt, params.dt_max, params.reaction_cap_c / max(f, 1.0))
@@ -255,10 +240,11 @@ def step(state: SolverState, params: SolverParams,
 
     floored = int((new_int < eps - 1e-15).sum())
     new_int = np.maximum(new_int, eps)
-    new_values = np.full(grid.shape, eps)
-    new_values[interior] = new_int
+    u = np.full(state.u.shape, eps)
+    u[workspace.interior] = new_int.reshape(workspace.interior_shape)
 
-    rel = float(np.abs(new_values - u).max()) / max(float(np.abs(u).max()), eps)
+    # boundary nodes never move, so the interior decides the relative change
+    rel = float(np.abs(new_int - u_int).max()) / max(float(np.abs(u_int).max()), eps)
     next_dt = dt
     if rel > 0.10:
         next_dt = dt * 0.5
@@ -266,31 +252,10 @@ def step(state: SolverState, params: SolverParams,
         next_dt = dt * 1.2
     next_dt = min(max(next_dt, params.dt_min), params.dt_max)
 
-    new_field = Field(grid, new_values)
-    energy = dirichlet_energy(new_field, eps)
-    return SolverState(t=state.t + dt, u=new_field, dt=next_dt, energy=energy,
+    energy = edge_energy(u, workspace.grid)
+    return SolverState(t=state.t + dt, u=u, dt=next_dt, energy=energy,
                        rho_value=rho_eps(energy, eps), floored=floored,
                        starved=starved)
-
-
-class _TraceBuilder:
-    def __init__(self, epsilon: float, omega: float):
-        self.rows = []
-        self.epsilon = epsilon
-        self.omega = omega
-
-    def add(self, state: SolverState, mass: float, sup: float,
-            torsion: TorsionSolution) -> None:
-        lifted = Field(state.u.grid, state.u.values - self.epsilon)
-        self.rows.append((state.t, state.dt, mass, state.energy, sup,
-                          phi_weighted_sup(lifted, torsion),
-                          state.rho_value, state.floored))
-
-    def build(self) -> Trace:
-        data = np.asarray([r[:7] for r in self.rows], dtype=float)
-        floored = np.asarray([r[7] for r in self.rows], dtype=int)
-        return Trace(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-                     data[:, 5], data[:, 6], floored, self.epsilon, self.omega)
 
 
 def run(u0eps: Field, params: SolverParams,
@@ -306,27 +271,31 @@ def run(u0eps: Field, params: SolverParams,
     if torsion is None:
         torsion = solve_torsion(grid)
     sup_cap = params.sup_cap if params.sup_cap is not None else \
-        _default_sup_cap(u0eps, eps, torsion)
+        min(1e4 * float(np.max(u0eps.values)), 0.8 * torsion.max_phi / eps)
 
     workspace = _Workspace(grid)
     e0 = dirichlet_energy(u0eps, eps)
-    state = SolverState(t=0.0, u=u0eps.copy(), dt=params.dt_init, energy=e0,
+    # one Field per state: integrate() reads it, and snapshots hand it out
+    field = u0eps.copy()
+    state = SolverState(t=0.0, u=field.values, dt=params.dt_init, energy=e0,
                         rho_value=rho_eps(e0, eps))
     # mass and sup of the current state, computed once per state
-    mass = integrate(state.u)
-    sup = float(state.u.values.max())
-    builder = _TraceBuilder(eps, grid.volume)
-    snapshots = [(0.0, state.u.copy())]
-    builder.add(state, mass, sup, torsion)
+    mass = integrate(field)
+    sup = float(state.u.max())
+    rows = []
 
+    def record(state: SolverState, mass: float, sup: float) -> None:
+        rows.append((state.t, state.dt, mass, state.energy, sup,
+                     phi_weighted_sup(state.u - eps, torsion),
+                     state.rho_value, state.floored))
+
+    record(state, mass, sup)
+    snapshots = [(0.0, field)]
     eps_offset = eps * grid.volume
     initial_corrected = mass - eps_offset
-    n_interior = int(grid.interior_mask.sum())
-    max_floor_frac = 0.0
+    max_floored = 0
     outcome = None
     step_index = 0
-    last_recorded_t = 0.0
-    last_snapshot_t = 0.0
 
     while True:
         if sup >= sup_cap:
@@ -342,34 +311,35 @@ def run(u0eps: Field, params: SolverParams,
             break
 
         prev_sup = sup
-        stepped = step(state, params, workspace)
-        mass = integrate(stepped.u)
-        sup = float(stepped.u.values.max())
+        state = step(state, params, workspace)
+        field = Field(grid, state.u)
+        mass = integrate(field)
+        sup = float(state.u.max())
         step_index += 1
-        max_floor_frac = max(max_floor_frac, stepped.floored / max(n_interior, 1))
+        max_floored = max(max_floored, state.floored)
 
         if step_index % params.trace_stride == 0:
-            builder.add(stepped, mass, sup, torsion)
-            last_recorded_t = stepped.t
+            record(state, mass, sup)
         if step_index % params.snapshot_stride == 0:
-            snapshots.append((stepped.t, stepped.u.copy()))
-            last_snapshot_t = stepped.t
-
-        state = stepped
-        if stepped.starved and sup > prev_sup:
+            snapshots.append((state.t, field))
+        if state.starved and sup > prev_sup:
             outcome = "BlowUp"
             break
 
-    if state.t > last_recorded_t:
-        builder.add(state, mass, sup, torsion)
-    if state.t > last_snapshot_t:
-        snapshots.append((state.t, state.u.copy()))
+    if state.t > rows[-1][0]:
+        record(state, mass, sup)
+    if state.t > snapshots[-1][0]:
+        snapshots.append((state.t, field))
 
+    data = np.asarray(rows, dtype=float)
+    trace = Trace(*data[:, :7].T, data[:, 7].astype(int), eps, grid.volume)
+    max_floor_frac = max_floored / max(workspace.n_interior, 1)
     return SimulationResult(
-        outcome=outcome, t_last=state.t, trace=builder.build(), snapshots=snapshots,
-        params=params, sup_cap=sup_cap, final=state.u,
+        outcome=outcome, t_last=state.t, trace=trace, snapshots=snapshots,
+        params=params, sup_cap=sup_cap, final=field,
         max_floored_fraction=max_floor_frac,
         floor_flagged=max_floor_frac > 1e-3,
+        steps=step_index,
         factorizations=workspace.factorizations,
         cg_iterations=workspace.cg_iterations,
     )

@@ -7,10 +7,13 @@ import stat
 import numpy as np
 import pytest
 
+import replidyn as rd
+import replidyn.elliptic as elliptic_mod
 import replidyn.experiment as experiment_mod
 from replidyn.cli import build_parser, main
 from replidyn.config import ConfigError, SweepSpec, config_to_text, parse_config
-from replidyn.experiment import run_experiment, run_sweep
+from replidyn.experiment import (diagnostics_rows, run_experiment, run_sweep,
+                                 solver_params_from_config)
 
 FAST_RUN = """
 grid.n = 101
@@ -74,9 +77,8 @@ def test_run_experiment_artifacts_and_summary(tmp_path):
     out = tmp_path / "run"
     code, summary = run_experiment(cfg, str(out))
     assert code == 0
-    for name in ("trace.csv", "snapshots.ndjson", "u0eps.ndjson",
-                 "diagnostics.csv", "summary.json"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.csv", "snapshots.ndjson", "summary.json", "trace.csv"]
     stored = json.loads((out / "summary.json").read_text())
     assert stored["outcome"] == "Decayed"
     assert stored["diagnostics_passed"] is True
@@ -124,6 +126,42 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
     assert result.cg_iterations > 0
     assert stored["factorizations"] == result.factorizations
     assert stored["cg_iterations"] == result.cg_iterations
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_summary_steps_match_the_trace_rows(stride, tmp_path):
+    # a row every stride steps, the initial state's, and the last state's
+    cfg = parse_config(FAST_RUN).with_value("solver.trace_stride", stride)
+    run_experiment(cfg, str(tmp_path))
+    steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
+    rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+    assert steps > 10 * stride
+    assert rows == 1 + -(-steps // stride)
+
+
+def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
+    cfg = parse_config(FAST_RUN)
+    grid = rd.build_grid(1, [1.0], cfg["grid.n"])
+    torsion = rd.solve_torsion(grid)
+    u0 = rd.torsion_profile(grid, cfg["init.mass"], cfg["solver.epsilon"], torsion)
+    result = rd.run(u0, solver_params_from_config(cfg), torsion)
+    factorizations = []
+    splu = elliptic_mod.splu
+
+    def counting(*args, **kwargs):
+        factorizations.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic_mod, "splu", counting)
+    elliptic_mod._solve_poisson_unit_rhs.cache_clear()
+    counts = []
+    for _ in range(2):
+        rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
+                                    result.sup_cap, grid, u0)
+        assert ok and {r[0] for r in rows} >= {"gradient_bound", "boundary_concentration"}
+        counts.append(len(factorizations))
+    assert counts[0] >= 1
+    assert counts[1] == counts[0]
 
 
 def test_failed_tolerance_gives_exit_2(tmp_path):

@@ -1,7 +1,7 @@
 """Design guards: no config key that nothing reads, one atomic artifact
 writer, one owner of the singular time, no reads of mesh's private names
-outside mesh, the removed config keys and values rejected by name, and no
-import that only a rarely used path needs."""
+outside mesh, the removed config keys and values rejected by name, no
+import that only a rarely used path needs, and a time step on plain arrays."""
 
 import ast
 import os
@@ -49,6 +49,16 @@ def test_solver_imports_nothing_from_blowup():
     imported = [ast.unparse(node) for node in ast.walk(ast.parse(_sources()["solver"]))
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not [line for line in imported if "blowup" in line]
+
+
+def test_solver_step_builds_no_field_and_reads_no_interior_mask():
+    # the step carries plain arrays and addresses the interior by slices
+    tree = ast.parse(_sources()["solver"])
+    step, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "step"]
+    calls = {ast.unparse(node.func) for node in ast.walk(step) if isinstance(node, ast.Call)}
+    assert "Field" not in calls
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "interior_mask" not in attributes
 
 
 def test_one_function_estimates_the_singular_time():

@@ -100,6 +100,25 @@ def test_phi_weighted_sup_absolutely_homogeneous(grid201, torsion201):
         assert rd.phi_weighted_sup(scaled, torsion201) == abs(c) * base
 
 
+def test_phi_weighted_sup_of_full_grid_values_is_that_of_the_field(grid201, torsion201):
+    # the solver passes its state's array; the mask oracle is the definition
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(grid201.shape)
+    phi = torsion201.phi.values
+    mask = phi > 0.0
+    oracle = float(np.max(np.abs(v[mask] / phi[mask])))
+    assert rd.phi_weighted_sup(v, torsion201) == oracle
+    assert rd.phi_weighted_sup(Field(grid201, v), torsion201) == oracle
+
+
+def test_cached_torsion_array_rejects_writes():
+    grid = build_grid(2, [1.0, 1.0], [11, 11])
+    phi = rd.solve_torsion(grid).phi.values
+    assert rd.solve_torsion(grid).phi.values is phi  # solved once per process
+    with pytest.raises(ValueError, match="read-only"):
+        phi[5, 5] = 0.0
+
+
 def test_poincare_constant_matches_first_eigenvalue(grid201):
     # discrete 1D eigenvalue: (4/h^2) sin^2(pi h / 2)
     h = grid201.h[0]

@@ -28,13 +28,13 @@ class _ForwardEuler(_Workspace):
         return u_int + dt * (u_int * lap_int + u_int * f)
 
 
-def forward_euler_step(state, params, workspace=None):
+def forward_euler_step(state, params, workspace):
     """One explicit step: ``step``'s controller with the CFL limit
-    dt <= 0.9 h^2 / (2 d max u) on top, and the forward-Euler update."""
-    grid = state.u.grid
-    cfl = 0.9 * min(grid.h) ** 2 / (2.0 * grid.dimension * float(state.u.values.max()))
-    return step(replace(state, dt=min(state.dt, cfl)), params,
-                workspace or _ForwardEuler(grid))
+    dt <= 0.9 h^2 / (2 d max u) on top, and the forward-Euler update of a
+    ``_ForwardEuler`` workspace."""
+    grid = workspace.grid
+    cfl = 0.9 * min(grid.h) ** 2 / (2.0 * grid.dimension * float(state.u.max()))
+    return step(replace(state, dt=min(state.dt, cfl)), params, workspace)
 
 
 def run_forward_euler(u0, params, torsion, monkeypatch):
@@ -47,7 +47,7 @@ def run_forward_euler(u0, params, torsion, monkeypatch):
 
 def make_state(u0eps, params):
     e = dirichlet_energy(u0eps, params.epsilon)
-    return SolverState(0.0, u0eps.copy(), params.dt_init, e,
+    return SolverState(0.0, u0eps.values.copy(), params.dt_init, e,
                        rho_eps(e, params.epsilon))
 
 
@@ -76,20 +76,21 @@ def test_rho_eps_lipschitz_and_monotone():
 def test_constant_floor_state_is_fixed(scheme, grid201):
     params = rd.SolverParams(epsilon=EPS, dt_init=1e-3)
     u = Field(grid201, np.full(grid201.shape, EPS))
-    advance = forward_euler_step if scheme == "explicit" else step
-    new = advance(make_state(u, params), params)
-    assert np.max(np.abs(new.u.values - EPS)) <= 1e-14
+    advance, workspace = ((forward_euler_step, _ForwardEuler) if scheme == "explicit"
+                          else (step, _Workspace))
+    new = advance(make_state(u, params), params, workspace(grid201))
+    assert np.max(np.abs(new.u - EPS)) <= 1e-14
 
 
 def test_explicit_step_is_the_definition(grid201, torsion201):
     params = rd.SolverParams(epsilon=EPS, dt_init=1e-5, dt_min=1e-5, dt_max=1e-5)
     u0 = rd.torsion_profile(grid201, 0.8, EPS, torsion201)
     state = make_state(u0, params)
-    new = forward_euler_step(state, params)
+    new = forward_euler_step(state, params, _ForwardEuler(grid201))
     lap = laplacian(u0, EPS).values
     expected = u0.values + 1e-5 * (u0.values * lap + u0.values * state.rho_value)
     inner = grid201.interior_mask
-    assert np.max(np.abs(new.u.values[inner] - expected[inner])) <= 1e-14
+    assert np.max(np.abs(new.u[inner] - expected[inner])) <= 1e-14
 
 
 def test_energy_and_mass_grow_on_supercritical_data(grid201, torsion201):
@@ -98,11 +99,11 @@ def test_energy_and_mass_grow_on_supercritical_data(grid201, torsion201):
     params = rd.SolverParams(epsilon=EPS, dt_init=1e-4, dt_max=1e-4, dt_min=1e-4)
     ws = _Workspace(grid201)
     state = make_state(u0, params)
-    energies, masses = [state.energy], [integrate(state.u)]
+    energies, masses = [state.energy], [integrate(u0)]
     for _ in range(10):
         state = step(state, params, ws)
         energies.append(state.energy)
-        masses.append(integrate(state.u))
+        masses.append(integrate(Field(grid201, state.u)))
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert all(b > a for a, b in zip(masses, masses[1:]))
 
@@ -298,7 +299,7 @@ def test_2d_solve_refactors_a_stale_factor(grid21):
     n = ws.n_interior
     ws.solve_semi_implicit(np.full(n, EPS), 1e-7, 0.0, EPS)
     assert ws.factorizations == 1
-    u_int = rd.torsion_profile(grid21, 1.5, EPS, tor).values[ws.interior]
+    u_int = rd.torsion_profile(grid21, 1.5, EPS, tor).values[ws.interior].ravel()
     x = ws.solve_semi_implicit(u_int, 0.05, 20.0, EPS)
     assert ws.factorizations == 2
     _, _, expected = _direct_solve(ws, u_int, 0.05, 20.0, EPS)
@@ -359,9 +360,9 @@ def test_final_step_clamped_to_t_end_is_not_starvation():
     assert result.t_last == params.t_end
     assert result.trace.t[-1] == params.t_end
     assert float(np.max(result.trace.sup_norm)) < result.sup_cap
-    at_end = SolverState(params.t_end, result.final, 1e-2, 0.0, 0.0)
+    at_end = SolverState(params.t_end, result.final.values, 1e-2, 0.0, 0.0)
     with pytest.raises(ValueError, match="t_end"):
-        step(at_end, params)
+        step(at_end, params, _Workspace(g))
 
 
 def _banded_solve(ws, u_int, dt, f, eps):
