@@ -121,18 +121,24 @@ def _cmd_blowup(args) -> int:
     return EXIT_OK
 
 
+# The kernel game: a Gaussian payoff kernel of this width on this many
+# equally spaced strategies in [0, 1].
+KERNEL_SIGMA = 0.05
+KERNEL_GRID_N = 201
+
+
 def _cmd_replicator(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args.out)
     payoff_kind = cfg["replicator.payoff"]
+    p0_values = cfg["replicator.p0"]
     if payoff_kind == "kernel":
-        grid = build_grid(1, [1.0], [cfg["replicator.grid_n"]])
-        payoff = payoff_matrix_from_kernel(grid, cfg["replicator.sigma"])
+        grid = build_grid(1, [1.0], [KERNEL_GRID_N])
+        payoff = payoff_matrix_from_kernel(grid, KERNEL_SIGMA)
         m = grid.n[0]
     else:
-        m = cfg["replicator.strategies"]
+        m = len(p0_values) or 2
         payoff = PayoffMatrix(np.eye(m))
-    p0_values = cfg["replicator.p0"]
     if p0_values:
         if len(p0_values) != m:
             raise ConfigError(
@@ -149,15 +155,9 @@ def _cmd_replicator(args) -> int:
     times, states, clip_total = integrate_replicator(
         p0, payoff, cfg["replicator.t_end"], cfg["replicator.dt"])
 
-    if m <= 64:
-        atomic_write_text(os.path.join(out, "replicator_trace.csv"), csv_text(
-            ["t"] + [f"p_{i+1}" for i in range(m)],
-            [[float(t), *map(float, p)] for t, p in zip(times, states)]))
-    else:
-        lines = [json.dumps({"t": float(t), "p": [float(v) for v in p]})
-                 for t, p in zip(times, states)]
-        atomic_write_text(os.path.join(out, "replicator_trace.ndjson"),
-                          "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out, "replicator_trace.csv"), csv_text(
+        ["t"] + [f"p_{i+1}" for i in range(m)],
+        [[float(t), *map(float, p)] for t, p in zip(times, states)]))
     print(f"steps={len(times)-1} clip_total={clip_total!r}")
     return EXIT_OK
 

@@ -23,17 +23,13 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> (type kind, default).  Kinds: int, float, str, bool, ints, floats.
+# key -> (type kind, default).  Kinds: int, float, str, ints, floats.
 _SCHEMA: dict[str, tuple[str, object]] = {
     "grid.dimension": ("int", 1),
     "grid.extents": ("floats", [1.0]),
     "grid.n": ("ints", [201]),
     "init.profile": ("str", "torsion"),
     "init.mass": ("float", 1.0),
-    "init.mollify_radius": ("float", 0.0),   # 0 = auto
-    "init.margin_rho": ("float", 0.0),       # 0 = auto
-    "init.margin_theta": ("float", 0.0),     # 0 = auto
-    "init.bound_l": ("float", 0.0),          # 0 = auto
     "solver.epsilon": ("float", 1e-3),
     "solver.dt_init": ("float", 1e-3),
     "solver.dt_min": ("float", 1e-12),
@@ -42,19 +38,9 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "solver.sup_cap": ("float", 0.0),        # 0 = auto
     "solver.snapshot_stride": ("int", 10),
     "solver.trace_stride": ("int", 1),
-    "solver.decay_threshold": ("float", 0.05),
     "solver.reaction_cap_c": ("float", 0.5),
-    "diagnostics.enabled": ("bool", True),
     "diagnostics.margin": ("float", 0.25),
-    "diagnostics.q": ("float", 0.5),
-    "diagnostics.mass_ode_tol": ("float", 0.05),
-    "diagnostics.h_identity_tol": ("float", 0.05),
-    "diagnostics.bound_slack": ("float", 0.1),
-    "diagnostics.phi_norm_slack": ("float", 0.05),
-    "replicator.strategies": ("int", 2),
     "replicator.payoff": ("str", "coordination"),
-    "replicator.sigma": ("float", 0.05),
-    "replicator.grid_n": ("int", 201),
     "replicator.t_end": ("float", 10.0),
     "replicator.dt": ("float", 0.01),
     "replicator.p0": ("floats", []),
@@ -123,13 +109,6 @@ def _convert(key: str, kind: str, raw: str, lineno: int):
             return float(raw)
         if kind == "str":
             return raw
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         if kind == "ints":
             return [int(tok) for tok in raw.split()]
         if kind == "floats":
@@ -188,13 +167,10 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     if not (0 < v["solver.reaction_cap_c"] <= 0.5):
         _fail("solver.reaction_cap_c", "must lie in (0, 0.5]",
               ln("solver.reaction_cap_c"))
-    if not (0 < v["diagnostics.q"] < 1):
-        _fail("diagnostics.q", "must lie in (0,1)", ln("diagnostics.q"))
     if v["diagnostics.margin"] <= 0:
         _fail("diagnostics.margin", "must be positive", ln("diagnostics.margin"))
-    if v["replicator.strategies"] < 2:
-        _fail("replicator.strategies", "need at least 2 strategies",
-              ln("replicator.strategies"))
+    if len(v["replicator.p0"]) == 1:
+        _fail("replicator.p0", "need at least 2 strategies", ln("replicator.p0"))
     if v["replicator.payoff"] not in ("coordination", "kernel"):
         _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
               ln("replicator.payoff"))
@@ -231,8 +207,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         val = cfg.values[key]
         if isinstance(val, list):
             rendered = " ".join(repr(x) if isinstance(x, float) else str(x) for x in val)
-        elif isinstance(val, bool):
-            rendered = "true" if val else "false"
         elif isinstance(val, float):
             rendered = repr(val)
         else:

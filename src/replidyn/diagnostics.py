@@ -28,9 +28,7 @@ __all__ = [
     "boundary_concentration",
     "phi_norm_bound_check",
     "weak_form_residual",
-    "mass_monotonicity_check",
-    "decay_rate_check",
-    "supercritical_rate_check",
+    "torsion_rate_check",
     "time_weighted_median",
 ]
 
@@ -330,53 +328,28 @@ def weak_form_residual(snapshots, test_fn, test_fn_dt, epsilon: float,
     return residual / scale
 
 
-def mass_monotonicity_check(trace: Trace, tol: float = 1e-6) -> bool:
-    """Corrected mass below one never increases, above one never decreases
-    (up to tol * scale per row pair), on unsaturated rows."""
-    ok = True
+def torsion_rate_check(trace: Trace, c: float, slack: float = 0.05) -> bool:
+    """The sharp mass rate  y' / ((y - 1) y^2 / C) >= 1 - slack  on unsaturated
+    interior rows, for either sign of y - 1, with y' the central difference.
+
+    Summation by parts and Cauchy-Schwarz give E >= y^2 / C, with C the
+    integral of the torsion function and equality for torsion data, so the
+    mass law y' = (y - 1) E puts this ratio at or above 1: mass above one
+    grows, and mass below one decays, at least as fast as for torsion data.
+    The canonical 1D runs (n=201, reaction_cap_c 0.015) fall short of 1 by
+    their first-order time error: ratios 0.978-0.997 at mass 1.5 and
+    0.987-1.038 at mass 0.5.  The default slack 0.05 admits that 2.2% with
+    room, while a constant 5% too small scales every ratio by 0.95 (down to
+    0.929 and 0.938) and fails.
+    """
     y = trace.corrected_mass
-    scale = max(1.0, float(np.max(np.abs(y))))
-    unsat = ~trace.saturated()
-    for k in range(len(trace) - 1):
-        if not (unsat[k] and unsat[k + 1]):
-            continue
-        if y[k] < 1.0 and y[k + 1] > y[k] + tol * scale:
-            ok = False
-        if y[k] > 1.0 and y[k + 1] < y[k] - tol * scale:
-            ok = False
-    return ok
-
-
-def _central_dy(trace: Trace):
-    y = trace.corrected_mass
-    return (y[2:] - y[:-2]) / (trace.t[2:] - trace.t[:-2])
-
-
-def decay_rate_check(trace: Trace, c_p: float, omega_measure: float,
-                     slack: float = 0.1) -> bool:
-    """Subcritical decay rate  y' <= -((1 - y0)/(C_P |Omega|)) y^2  with slack."""
-    y = trace.corrected_mass
-    if y[0] >= 1.0:
-        raise ValueError("decay rate check applies to subcritical runs only")
-    rate = (1.0 - y[0]) / (c_p * omega_measure)
-    dy = _central_dy(trace)
-    yk = y[1:-1]
-    return bool(np.all(dy <= -rate * yk**2 * (1.0 - slack) + slack * rate))
-
-
-def supercritical_rate_check(trace: Trace, c_p: float, omega_measure: float,
-                             slack: float = 0.1) -> bool:
-    """Supercritical growth rate  y' >= ((y0 - 1)/(C_P |Omega|)) y^2  with slack,
-    on unsaturated interior rows."""
-    y = trace.corrected_mass
-    if y[0] <= 1.0:
-        raise ValueError("growth rate check applies to supercritical runs only")
-    rate = (y[0] - 1.0) / (c_p * omega_measure)
-    dy = _central_dy(trace)
+    dy = (y[2:] - y[:-2]) / (trace.t[2:] - trace.t[:-2])
     unsat = ~trace.saturated()
     keep = unsat[1:-1] & unsat[2:] & unsat[:-2]
+    if not keep.any():
+        raise ValueError("rate check needs three consecutive unsaturated rows")
     yk = y[1:-1][keep]
-    return bool(np.all(dy[keep] >= rate * yk**2 * (1.0 - slack) - slack * rate))
+    return bool(np.all(dy[keep] * c / ((yk - 1.0) * yk**2) >= 1.0 - slack))
 
 
 def time_weighted_median(values: np.ndarray, times: np.ndarray) -> float:

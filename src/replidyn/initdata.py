@@ -324,8 +324,8 @@ def construct_initial(recipe: InitDataRecipe,
     disc = b_coef**2 - 4.0 * a_coef * g_coef
     if disc < 0.0:
         raise InitDataError(
-            "quadratic has no real root; shrink epsilon or mollify_radius "
-            "(or refine the grid: the data's energy is too large for this resolution)"
+            "quadratic has no real root: the data's energy is too large for this "
+            "resolution; refine the grid (grid.n) or shrink solver.epsilon"
         )
     c_const = -2.0 * g_coef / (b_coef - math.sqrt(disc))
     if c_const <= 0.0:
@@ -425,10 +425,6 @@ def verify_epsilon_sequence(results: list[InitDataResult], u0: Field) -> dict:
 
 
 def make_recipe(u0: Field, epsilon: float, *,
-                mollify_radius: float | None = None,
-                margin_rho: float | None = None,
-                margin_theta: float | None = None,
-                L: float | None = None,
                 torsion: TorsionSolution | None = None) -> InitDataRecipe:
     """Canonical recipe for a given epsilon.
 
@@ -439,18 +435,13 @@ def make_recipe(u0: Field, epsilon: float, *,
     grid = u0.grid
     hmax = max(grid.h)
     scale = max(1.0, 1.0 + 0.25 * math.log10(epsilon / 1e-4))
-    if margin_rho is None:
-        margin_rho = 4.0 * hmax * scale
-    if mollify_radius is None:
-        mollify_radius = margin_rho
-    if margin_theta is None:
-        margin_theta = max(0.15 * min(grid.extents), margin_rho + 2.0 * hmax)
-    if L is None:
-        if torsion is None:
-            torsion = solve_torsion(grid)
-        L = 1.25 * max(phi_weighted_sup(u0, torsion), dirichlet_energy(u0, 0.0))
-    return InitDataRecipe(u0=u0, epsilon=epsilon, mollify_radius=mollify_radius,
-                          margin_rho=margin_rho, margin_theta=margin_theta, L=L)
+    margin_rho = 4.0 * hmax * scale
+    if torsion is None:
+        torsion = solve_torsion(grid)
+    return InitDataRecipe(
+        u0=u0, epsilon=epsilon, mollify_radius=margin_rho, margin_rho=margin_rho,
+        margin_theta=max(0.15 * min(grid.extents), margin_rho + 2.0 * hmax),
+        L=1.25 * max(phi_weighted_sup(u0, torsion), dirichlet_energy(u0, 0.0)))
 
 
 def torsion_profile(grid: Grid, corrected_mass: float, epsilon: float,

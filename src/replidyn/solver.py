@@ -34,13 +34,13 @@ grows by 1.2x when it moves by less than 1%, capped by the reaction scale
 step is clamped to t_end, below dt_min if need be, and does not count as
 starvation.
 
-A run ends in one of three outcomes: Decayed (corrected mass fell below a
-fraction of its initial value), RanToEnd, or BlowUp (sup norm crossed the cap,
-or the controller starved below dt_min while the sup norm was growing).  Note
-the regularized dynamics are globally bounded by  eps + max(Phi)/eps  (the
-capped nonlocal term admits that stationary supersolution), so the default
-sup cap is clamped below this ceiling; otherwise a cap of 1e4 x the initial
-sup norm could never trigger at moderate eps.
+A run ends in one of three outcomes: Decayed (corrected mass fell below
+DECAY_THRESHOLD of its initial value), RanToEnd, or BlowUp (sup norm crossed
+the cap, or the controller starved below dt_min while the sup norm was growing).
+Note the regularized dynamics are globally bounded by  eps + max(Phi)/eps  (the
+capped nonlocal term admits that stationary supersolution), so the default sup
+cap is clamped below this ceiling; otherwise a cap of 1e4 x the initial sup
+norm could never trigger at moderate eps.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ __all__ = [
 # CG_MAX_ITER iterations to get there is replaced by a fresh one.
 CG_RTOL = 1e-13
 CG_MAX_ITER = 5
+DECAY_THRESHOLD = 0.05  # Decayed: corrected mass below this fraction of its start
 
 
 def rho_eps(z: float, epsilon: float) -> float:
@@ -93,7 +94,6 @@ class SolverParams:
     sup_cap: float | None = None  # None: min(1e4 * initial sup, 0.8 * max(Phi)/eps)
     snapshot_stride: int = 10
     trace_stride: int = 1
-    decay_threshold: float = 0.05
     # dt <= reaction_cap_c / max(rho, 1); 0.5 suffices for stability, smaller
     # values resolve the energy growth for tight identity checks near blow-up.
     reaction_cap_c: float = 0.5
@@ -303,10 +303,10 @@ def run(u0eps: Field, params: SolverParams,
             break
         corrected = mass - eps_offset
         if state.t >= params.t_end - 1e-12:
-            outcome = "Decayed" if corrected < params.decay_threshold * initial_corrected \
+            outcome = "Decayed" if corrected < DECAY_THRESHOLD * initial_corrected \
                 else "RanToEnd"
             break
-        if initial_corrected > 0 and corrected < params.decay_threshold * initial_corrected:
+        if initial_corrected > 0 and corrected < DECAY_THRESHOLD * initial_corrected:
             outcome = "Decayed"
             break
 

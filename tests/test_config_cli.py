@@ -116,8 +116,7 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(experiment_mod, "run", recording)
-    cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n"
-                       "diagnostics.enabled = false\n")
+    cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n")
     out = tmp_path / "2d"
     run_experiment(cfg, str(out))
     stored = json.loads((out / "summary.json").read_text())
@@ -164,9 +163,9 @@ def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
     assert counts[1] == counts[0]
 
 
-def test_failed_tolerance_gives_exit_2(tmp_path):
-    cfg = parse_config(FAST_RUN).with_value("diagnostics.mass_ode_tol", 1e-18)
-    code, summary = run_experiment(cfg, str(tmp_path / "fail"))
+def test_failed_tolerance_gives_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment_mod, "MASS_ODE_TOL", 1e-18)
+    code, summary = run_experiment(parse_config(FAST_RUN), str(tmp_path / "fail"))
     assert code == 2
     assert summary["diagnostics_passed"] is False
 
@@ -350,7 +349,7 @@ def test_verify_needs_the_run_summary(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     CANONICAL_BLOWUP,
-    "grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\ndiagnostics.enabled = false\n",
+    "grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n",
 ], ids=["1d-canonical", "2d-21"])
 def test_blowup_reproduces_blowup_csv_of_run(text, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, text)
@@ -395,6 +394,23 @@ def test_cli_initdata_subcommand(tmp_path):
     assert all(line.endswith("True") for line in report[1:])
 
 
+@pytest.mark.parametrize("text", [
+    "grid.n = 201\ninit.mass = 0.5\nsolver.epsilon = 1e-2\n",
+    "grid.dimension = 2\ngrid.n = 81\ninit.mass = 0.05\nsolver.t_end = 0.05\n",
+], ids=["1d", "2d-81"])
+def test_run_exits_2_when_the_initial_data_fails_its_report(text, tmp_path, capsys):
+    # weighted_norm_headroom fails here; run must say so as initdata does
+    cfg_path = _write_cfg(tmp_path, "init.profile = constructed\n" + text)
+    assert main(["initdata", "--config", cfg_path, "--out", str(tmp_path / "init")]) == 2
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["initdata_passed"] is False
+    assert summary["exit_code"] == 2
+    assert ((out / "initdata_report.csv").read_text()
+            == (tmp_path / "init" / "initdata_report.csv").read_text())
+
+
 def test_artifacts_get_the_mode_of_trace_csv(tmp_path, capsys):
     # every artifact is created as open() creates trace.csv: 0o666 less the umask
     cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
@@ -431,6 +447,28 @@ output.dir = rep
     lines = (tmp_path / "rep" / "replicator_trace.csv").read_text().splitlines()
     assert lines[0] == "t,p_1,p_2"
     assert len(lines) == 202
+
+
+def test_cli_replicator_kernel_payoff_writes_csv(tmp_path, capsys):
+    # the kernel game has 201 strategies; its trace is the same CSV
+    cfg_path = _write_cfg(tmp_path, "replicator.payoff = kernel\n"
+                                    "replicator.t_end = 0.5\nreplicator.dt = 0.01\n")
+    out = tmp_path / "rep"
+    assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["replicator_trace.csv"]
+    rows = np.loadtxt(out / "replicator_trace.csv", delimiter=",", skiprows=1)
+    header = (out / "replicator_trace.csv").read_text().splitlines()[0].split(",")
+    assert header == ["t"] + [f"p_{i}" for i in range(1, 202)]
+    assert rows.shape == (51, 202)
+    assert np.allclose(rows[:, 1:].sum(axis=1), 1.0)
+
+
+def test_replicator_p0_needs_two_entries(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"line 2: .*replicator\.p0"):
+        parse_config("replicator.payoff = coordination\nreplicator.p0 = 1.0\n")
+    cfg_path = _write_cfg(tmp_path, "replicator.p0 = 1.0\n")
+    assert main(["replicator", "--config", cfg_path]) == 1
+    assert "replicator.p0" in capsys.readouterr().err
 
 
 def test_replicator_keys_validated_without_enabled_flag(tmp_path, capsys):

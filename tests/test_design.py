@@ -1,7 +1,8 @@
 """Design guards: no config key that nothing reads, one atomic artifact
 writer, one owner of the singular time, no reads of mesh's private names
-outside mesh, the removed config keys and values rejected by name, no
-import that only a rarely used path needs, and a time step on plain arrays."""
+outside mesh, the removed config keys and values rejected by name, README's
+key table in step with the schema, no import that only a rarely used path
+needs, and a time step on plain arrays."""
 
 import ast
 import os
@@ -86,16 +87,51 @@ def test_only_mesh_reads_private_mesh_names():
     assert reads == []
 
 
+RETIRED = {
+    "init.mollify_radius": "0.02", "init.margin_rho": "0.02",
+    "init.margin_theta": "0.2", "init.bound_l": "1.0",
+    "solver.decay_threshold": "0.05", "diagnostics.enabled": "false",
+    "diagnostics.q": "0.5", "diagnostics.mass_ode_tol": "0.05",
+    "diagnostics.h_identity_tol": "0.05", "diagnostics.bound_slack": "0.1",
+    "diagnostics.phi_norm_slack": "0.05", "replicator.strategies": "3",
+    "replicator.sigma": "0.05", "replicator.grid_n": "201",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", "0"),
     ("replicator.enabled", "true"),
     ("solver.scheme", "explicit"),
     ("solver.cfl_c", "0.9"),
     ("replicator.payoff", "identity"),
+    *RETIRED.items(),
 ])
 def test_removed_keys_and_values_are_rejected(key, value):
     with pytest.raises(ConfigError, match=rf"line 2: .*{re.escape(key)}"):
         parse_config(f"grid.n = 51\n{key} = {value}\n")
+
+
+def _readme_table(header: str) -> dict:
+    """The rows of the README table under ``header``: first cell -> second."""
+    lines = (SRC.parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("| `"):
+            break
+        key, value = re.match(r"\| `([^`]+)` \| (.*?) \|", line).groups()
+        rows[key] = value.strip().strip("`")
+    return rows
+
+
+def test_readme_lists_the_config_keys_with_their_defaults():
+    table = _readme_table("| key | default | meaning |")
+    assert list(table) == list(config._SCHEMA)
+    for key, raw in table.items():
+        kind, default = config._SCHEMA[key]
+        assert config._convert(key, kind, raw, 0) == default, key
+    retired = _readme_table("| retired key | value now |")
+    assert sorted(retired) == sorted(RETIRED)
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():

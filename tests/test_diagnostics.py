@@ -162,19 +162,37 @@ def test_weak_form_rejects_boundary_support(run_decay):
 
 
 def test_mass_monotone_by_regime(run_decay, run_blowup):
-    assert diag.mass_monotonicity_check(run_decay.trace)
-    assert diag.mass_monotonicity_check(run_blowup.trace)
+    # corrected mass below one never increases, above one never decreases
+    # (up to 1e-6 of its scale per row pair), on unsaturated rows
+    for trace in (run_decay.trace, run_blowup.trace):
+        y = trace.corrected_mass
+        scale = max(1.0, float(np.max(np.abs(y))))
+        unsat = ~trace.saturated()
+        pair = unsat[:-1] & unsat[1:]
+        dy = np.diff(y)
+        assert not np.any(pair & (y[:-1] < 1.0) & (dy > 1e-6 * scale))
+        assert not np.any(pair & (y[:-1] > 1.0) & (dy < -1e-6 * scale))
 
 
-def test_decay_rate_check(run_decay, grid201):
-    c_p = rd.measure_poincare_constant(grid201)
-    assert diag.decay_rate_check(run_decay.trace, c_p, grid201.volume, slack=0.1)
+def test_decay_rate_check(run_decay, torsion201):
+    # the sharp rate with C = ∫φ_h holds on the decay run; 5% too small fails
+    c = torsion201.c_subdomain
+    assert diag.torsion_rate_check(run_decay.trace, c)
+    assert not diag.torsion_rate_check(run_decay.trace, 0.95 * c)
 
 
-def test_supercritical_rate_check(run_blowup, grid201):
-    c_p = rd.measure_poincare_constant(grid201)
-    assert diag.supercritical_rate_check(precap_trace(run_blowup), c_p,
-                                         grid201.volume, slack=0.1)
+def test_supercritical_rate_check(run_blowup, torsion201):
+    # the same on the pre-cap blow-up run, where the mass grows
+    c = torsion201.c_subdomain
+    trace = precap_trace(run_blowup)
+    assert diag.torsion_rate_check(trace, c)
+    assert not diag.torsion_rate_check(trace, 0.95 * c)
+
+
+def test_torsion_rate_check_rejects_a_saturated_trace(torsion201):
+    saturated = synthetic_trace([0.0, 0.1, 0.2], [0.5] * 3, [1.0 / EPS] * 3, EPS, 1.0)
+    with pytest.raises(ValueError, match="unsaturated"):
+        diag.torsion_rate_check(saturated, torsion201.c_subdomain)
 
 
 def test_trace_csv_roundtrip_bytes(run_decay, tmp_path):
