@@ -22,8 +22,7 @@ print(f"target data: half the torsion profile, Dirichlet energy {target:.6f}\n")
 
 results = []
 for eps in (1e-2, 1e-3, 1e-4):
-    recipe = idt.make_recipe(u0, eps, torsion=torsion)
-    res = idt.construct_initial(recipe, torsion)
+    res = idt.construct_initial(u0, eps)
     results.append(res)
     print(f"epsilon = {eps:g}: C = {res.C:.6f} "
           f"(gap to target {abs(res.C-target)/target:.2%}), "

@@ -21,9 +21,8 @@ from .diagnostics import (Trace, boundary_concentration, gradient_bound_check,
 from .elliptic import (TorsionSolution, measure_poincare_constant,
                        phi_weighted_sup, solve_torsion, solve_torsion_subdomain)
 from .experiment import run_experiment, run_sweep
-from .initdata import (InitDataRecipe, InitDataResult, construct_initial,
-                       make_recipe, mollify, torsion_profile,
-                       verify_approx_properties, verify_epsilon_sequence)
+from .initdata import (InitDataResult, construct_initial, mollify,
+                       torsion_profile, verify_epsilon_sequence)
 from .mesh import (Field, Grid, build_grid, dirichlet_energy, gradient_inner,
                    integrate, laplacian, read_snapshots, write_snapshots)
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,

@@ -174,9 +174,9 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     if v["replicator.payoff"] not in ("coordination", "kernel"):
         _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
               ln("replicator.payoff"))
-    if v["replicator.dt"] <= 0 or v["replicator.t_end"] <= 0:
-        _fail("replicator.dt", "time step and horizon must be positive",
-              ln("replicator.dt"))
+    for key in ("replicator.dt", "replicator.t_end"):
+        if v[key] <= 0:
+            _fail(key, "must be positive", ln(key))
 
 
 def parse_config(text: str) -> ExperimentConfig:

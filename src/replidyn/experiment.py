@@ -31,7 +31,7 @@ from . import diagnostics as diag
 from .blowup import blowup_metrics
 from .config import ExperimentConfig, SweepSpec
 from .elliptic import solve_torsion, solve_torsion_subdomain
-from .initdata import construct_initial, make_recipe, torsion_profile
+from .initdata import construct_initial, torsion_profile
 from .mesh import Field, build_grid, integrate, write_snapshots
 from .solver import SolverParams, run
 
@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 DIAGNOSTICS_HEADER = ["check", "t", "value", "bound", "pass"]
+CHECKS = ("mass_ode", "h_identity", "phi_norm", "gradient_bound",
+          "boundary_concentration")
 # The audit's fixed tolerances and slacks, and the exponent q of the boundary
 # concentration estimate: properties of the harness, not of a run.
 MASS_ODE_TOL = 0.05
@@ -108,7 +110,7 @@ def build_initial_data(cfg: ExperimentConfig, grid, torsion):
     scale = mass / integrate(torsion.phi)
     u0 = Field(grid, scale * torsion.phi.values)
     u0.values[grid.boundary_mask] = 0.0
-    result = construct_initial(make_recipe(u0, eps, torsion=torsion), torsion)
+    result = construct_initial(u0, eps)
     return result.u0eps, result
 
 
@@ -123,8 +125,10 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
     ``sup_cap``; past that window the regularized dynamics leave the regime
     the statements address.
     """
-    checks = checks or ["mass_ode", "h_identity", "phi_norm", "gradient_bound",
-                        "boundary_concentration"]
+    checks = checks or CHECKS
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; valid checks: {list(CHECKS)}")
     rows: list[list] = []
     all_ok = True
 
@@ -256,27 +260,18 @@ def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
     """Run all sweep configurations; returns (exit_code, summary rows)."""
     out_root_dir = out_root_dir or os.path.join(output_root(),
                                                 spec.base["output.dir"] + "_sweep")
-    configs = spec.configs()
 
-    def one(i_cfg):
-        i, cfg = i_cfg
-        tag = _format_axis_value(spec.values[i])
+    def one(value, cfg):
+        tag = _format_axis_value(value)
         run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{tag}")
         try:
-            code, summary = run_experiment(cfg, run_dir)
+            return run_experiment(cfg, run_dir)
         except Exception as exc:  # defensive: record, do not kill the sweep
-            return i, EXIT_ERROR, {"outcome": "Error", "error": str(exc)}
-        return i, code, summary
+            return EXIT_ERROR, {"outcome": "Error", "error": str(exc)}
 
-    results = [None] * len(configs)
-    if spec.parallelism == 1:
-        for item in enumerate(configs):
-            i, code, summary = one(item)
-            results[i] = (code, summary)
-    else:
-        with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            for i, code, summary in pool.map(one, enumerate(configs)):
-                results[i] = (code, summary)
+    # one worker runs the configurations in order; map keeps the results in order
+    with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
+        results = list(pool.map(one, spec.values, spec.configs()))
 
     rows = []
     worst = EXIT_OK

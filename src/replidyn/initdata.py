@@ -15,11 +15,13 @@ converges to the Dirichlet energy of u0 as the regularization is refined.
 alpha is chosen so the assembled field carries mass  ∫u0 + eps*|Omega|,
 i.e. its eps-offset-corrected mass equals the mass of u0 exactly.
 
-The construction degrades on coarse grids: the cutoff collar cannot shrink
-below a few mesh cells, so for target data with large Dirichlet energy the
-quadratic loses its real root.  ``torsion_profile`` provides the direct
-regularized profile  eps + s*Phi  used by the mass-trichotomy experiments,
-which satisfies every solver-facing invariant exactly at any resolution.
+The collar geometry follows from the grid and eps alone.  The construction
+degrades on coarse grids: the cutoff collar cannot shrink below four mesh
+cells, so a grid whose collar would exceed 1/16 of the domain is refused, and
+for target data with large Dirichlet energy the quadratic loses its real
+root.  ``torsion_profile`` provides the direct regularized profile
+eps + s*Phi  used by the mass-trichotomy experiments, which satisfies every
+solver-facing invariant exactly at any resolution.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ from .mesh import Field, Grid, dirichlet_energy, gradient_inner, integrate
 
 __all__ = [
     "InitDataError",
-    "InitDataRecipe",
     "InitDataResult",
     "PropertyCheck",
     "mollify",
     "construct_initial",
-    "verify_approx_properties",
     "verify_epsilon_sequence",
-    "make_recipe",
     "torsion_profile",
 ]
 
@@ -60,24 +59,6 @@ class PropertyCheck:
 
 
 @dataclass
-class InitDataRecipe:
-    """Target data plus the geometry of the regularization.
-
-    Margins are nested: theta lives inside the ``margin_theta`` core, the
-    cutoff rho reaches its plateau at ``margin_rho``, and the mollification
-    keeps phi supported at distance >= ``mollify_radius`` >= margin_rho from
-    the boundary so the cutoff ramp and phi never overlap.
-    """
-
-    u0: Field
-    epsilon: float
-    mollify_radius: float
-    margin_rho: float
-    margin_theta: float
-    L: float
-
-
-@dataclass
 class InitDataResult:
     u0eps: Field
     C: float
@@ -85,7 +66,6 @@ class InitDataResult:
     report: list[PropertyCheck]
     epsilon: float
     w12_distance: float
-    c_k: float
     headroom: float
     energy: float
 
@@ -202,33 +182,18 @@ def _cutoff_rho(grid: Grid, margin_rho: float) -> Field:
     return Field(grid, values)
 
 
-def _core_mask(grid: Grid, margin: float) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    coords = grid.coordinate_arrays()
-    for x, ext in zip(coords, grid.extents):
-        mask &= (x >= margin - 1e-12) & (x <= ext - margin + 1e-12)
-    return mask
-
-
 def _interior_bump(grid: Grid, margin: float) -> Field:
     """Product raised-cosine bump on the concentric core box, unit mass."""
     values = np.ones(grid.shape)
     coords = grid.coordinate_arrays()
     for x, ext in zip(coords, grid.extents):
         width = ext - 2.0 * margin
-        if width <= 2.0 * max(grid.h):
-            raise InitDataError(
-                f"margin_theta {margin} leaves no room for the interior bump"
-            )
         inside = (x > margin) & (x < ext - margin)
         prof = np.zeros_like(x)
         prof[inside] = (1.0 + np.cos(2.0 * np.pi * (x[inside] - 0.5 * ext) / width)) / width
         values *= prof
     f = Field(grid, values)
-    total = integrate(f)
-    if total <= 0:
-        raise InitDataError("interior bump has vanishing mass on this grid")
-    f.values /= total
+    f.values /= integrate(f)
     return f
 
 
@@ -243,27 +208,21 @@ def _boundary_adjacent_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _validate_recipe(recipe: InitDataRecipe, torsion: TorsionSolution) -> None:
-    grid = recipe.u0.grid
-    hmax = max(grid.h)
-    if not (0.0 < recipe.epsilon < 1.0):
-        raise InitDataError(f"epsilon must lie in (0,1), got {recipe.epsilon}")
-    if not (recipe.margin_theta > recipe.margin_rho > 0.0):
-        raise InitDataError(
-            f"margins must nest: margin_theta {recipe.margin_theta} > "
-            f"margin_rho {recipe.margin_rho} > 0"
-        )
-    if recipe.margin_rho < 4.0 * hmax - 1e-12:
-        raise InitDataError(
-            f"margin_rho {recipe.margin_rho} too small for spacing {hmax}: "
-            f"the cutoff ramp needs at least four cells"
-        )
-    if recipe.mollify_radius < recipe.margin_rho - 1e-12:
-        raise InitDataError(
-            "mollify_radius must be >= margin_rho so the mollified data stays "
-            "clear of the cutoff ramp"
-        )
-    v = recipe.u0.values
+def construct_initial(u0: Field, epsilon: float) -> InitDataResult:
+    """Assemble the regularized initial data of u0 at ``epsilon`` and its
+    property report.
+
+    The collar geometry shrinks gently as epsilon decreases, down to a floor
+    of four cells, so that epsilon-sequences of constructions converge toward
+    the target data.  The margins nest: the cutoff rho reaches its plateau at
+    ``margin_rho``, the mollified data stays at distance >= margin_rho from
+    the boundary, clear of the cutoff ramp, and theta lives inside the
+    ``margin_theta`` core.
+    """
+    grid = u0.grid
+    if not (0.0 < epsilon < 1.0):
+        raise InitDataError(f"epsilon must lie in (0,1), got {epsilon}")
+    v = u0.values
     if np.any(v < 0):
         raise InitDataError("initial data must be nonnegative")
     if np.any(np.abs(v[grid.boundary_mask]) > 0):
@@ -273,26 +232,27 @@ def _validate_recipe(recipe: InitDataRecipe, torsion: TorsionSolution) -> None:
             "initial data must be strictly positive at interior nodes "
             "(its reciprocal must be locally bounded)"
         )
-    norm = phi_weighted_sup(recipe.u0, torsion)
-    if norm > recipe.L * (1.0 + 1e-12):
+    scale = max(1.0, 1.0 + 0.25 * math.log10(epsilon / 1e-4))
+    margin_rho = 4.0 * max(grid.h) * scale
+    # mollify shifts by 2*margin_rho, which must stay within extent/8
+    if any(2.0 * margin_rho > 0.125 * ext for ext in grid.extents):
         raise InitDataError(
-            f"torsion-weighted norm {norm:.6g} of the initial data exceeds L={recipe.L}"
+            f"grid.n = {' '.join(map(str, grid.n))} is too coarse for the constructed "
+            f"profile at solver.epsilon = {epsilon:g}: its collar of four cells, "
+            f"widened {scale:g}x at this epsilon, must be at most 1/16 of the domain, "
+            f"which needs a grid spacing of at most "
+            f"{min(grid.extents) / (64.0 * scale):.6g}; raise grid.n, or lower "
+            f"solver.epsilon toward 1e-4"
         )
-
-
-def construct_initial(recipe: InitDataRecipe,
-                      torsion: TorsionSolution | None = None) -> InitDataResult:
-    """Assemble the regularized initial data and its property report."""
-    grid = recipe.u0.grid
-    if torsion is None:
-        torsion = solve_torsion(grid)
-    _validate_recipe(recipe, torsion)
-    eps = recipe.epsilon
+    # the check above keeps margin_rho + 2h below 3/32 of the smallest extent
+    margin_theta = 0.15 * min(grid.extents)
+    torsion = solve_torsion(grid)
+    bound_l = 1.25 * max(phi_weighted_sup(u0, torsion), dirichlet_energy(u0, 0.0))
     phi_t = torsion.phi
 
-    phi = mollify(recipe.u0, recipe.mollify_radius)
-    rho = _cutoff_rho(grid, recipe.margin_rho)
-    theta = _interior_bump(grid, recipe.margin_theta)
+    phi = mollify(u0, margin_rho)
+    rho = _cutoff_rho(grid, margin_rho)
+    theta = _interior_bump(grid, margin_theta)
 
     one_minus_rho = 1.0 - rho.values
     collar = Field(grid, one_minus_rho * phi_t.values)
@@ -301,7 +261,7 @@ def construct_initial(recipe: InitDataRecipe,
     inner_phi_theta = gradient_inner(phi, theta)
     e_phi = dirichlet_energy(phi, 0.0)
     s_collar = integrate(collar)
-    mass_defect = integrate(recipe.u0) - integrate(phi)
+    mass_defect = integrate(u0) - integrate(phi)
 
     cellvol = float(np.prod(grid.h))
 
@@ -333,41 +293,32 @@ def construct_initial(recipe: InitDataRecipe,
 
     alpha = mass_defect - c_const * s_collar
 
-    values = (eps + c_const * one_minus_rho * phi_t.values
+    values = (epsilon + c_const * one_minus_rho * phi_t.values
               + rho.values * (phi.values + alpha * theta.values))
-    values[grid.boundary_mask] = eps
+    values[grid.boundary_mask] = epsilon
     u0eps = Field(grid, values)
 
-    report, extras = _build_report(u0eps, recipe, torsion, phi, c_const)
-    return InitDataResult(u0eps=u0eps, C=c_const, alpha=alpha, report=report,
-                          epsilon=eps, **extras)
+    # the property report
+    boundary_err = float(np.max(np.abs(u0eps.values[grid.boundary_mask] - epsilon)))
+    floor_err = float(np.min(u0eps.values - epsilon))
 
-
-def _build_report(u0eps: Field, recipe: InitDataRecipe, torsion: TorsionSolution,
-                  phi: Field, c_const: float):
-    grid = u0eps.grid
-    eps = recipe.epsilon
-
-    boundary_err = float(np.max(np.abs(u0eps.values[grid.boundary_mask] - eps)))
-    floor_err = float(np.min(u0eps.values - eps))
-
-    energy = dirichlet_energy(u0eps, eps)
-    lap = mesh.laplacian(u0eps, eps)
+    energy = dirichlet_energy(u0eps, epsilon)
+    lap = mesh.laplacian(u0eps, epsilon)
     adj = _boundary_adjacent_mask(grid)
     compat = float(np.max(np.abs(lap.values[adj] + energy)) / energy)
 
-    lifted = Field(grid, u0eps.values - eps)
-    headroom = phi_weighted_sup(lifted, torsion) - recipe.L
+    lifted = Field(grid, u0eps.values - epsilon)
+    headroom = phi_weighted_sup(lifted, torsion) - bound_l
 
-    core = _core_mask(grid, recipe.margin_theta)
+    core = mesh.distance_to_boundary(grid) >= margin_theta - 1e-12
     c_k = 0.5 * float(np.min(phi.values[core]))
     core_min = float(np.min(u0eps.values[core]))
 
-    diff = Field(grid, u0eps.values - recipe.u0.values)
+    diff = Field(grid, u0eps.values - u0.values)
     w12 = math.sqrt(integrate(Field(grid, diff.values**2))
-                    + dirichlet_energy(diff, eps))
+                    + dirichlet_energy(diff, epsilon))
 
-    mass_err = abs(integrate(u0eps) - integrate(recipe.u0) - eps * grid.volume)
+    mass_err = abs(integrate(u0eps) - integrate(u0) - epsilon * grid.volume)
     energy_gap = abs(energy - c_const) / c_const
 
     report = [
@@ -380,19 +331,9 @@ def _build_report(u0eps: Field, recipe: InitDataRecipe, torsion: TorsionSolution
         PropertyCheck("mass_match", mass_err, 1e-10, mass_err <= 1e-10),
         PropertyCheck("energy_consistency", energy_gap, 0.05, energy_gap <= 0.05),
     ]
-    extras = {"w12_distance": w12, "c_k": c_k, "headroom": headroom, "energy": energy}
-    return report, extras
-
-
-def verify_approx_properties(result: InitDataResult, recipe: InitDataRecipe,
-                             torsion: TorsionSolution | None = None) -> list[PropertyCheck]:
-    """Re-measure the property report from the stored field (so externally
-    corrupted results fail the corresponding checks)."""
-    if torsion is None:
-        torsion = solve_torsion(result.u0eps.grid)
-    phi = mollify(recipe.u0, recipe.mollify_radius)
-    report, _ = _build_report(result.u0eps, recipe, torsion, phi, result.C)
-    return report
+    return InitDataResult(u0eps=u0eps, C=c_const, alpha=alpha, report=report,
+                          epsilon=epsilon, w12_distance=w12, headroom=headroom,
+                          energy=energy)
 
 
 def verify_epsilon_sequence(results: list[InitDataResult], u0: Field) -> dict:
@@ -422,26 +363,6 @@ def verify_epsilon_sequence(results: list[InitDataResult], u0: Field) -> dict:
         "alpha_decreasing": all(b < a for a, b in zip(alphas, alphas[1:])),
         "w12_decreasing": all(b < a for a, b in zip(dists, dists[1:])),
     }
-
-
-def make_recipe(u0: Field, epsilon: float, *,
-                torsion: TorsionSolution | None = None) -> InitDataRecipe:
-    """Canonical recipe for a given epsilon.
-
-    The collar geometry shrinks gently as epsilon decreases (down to the grid
-    floor of a few cells) so that epsilon-sequences of constructions converge
-    toward the target data.
-    """
-    grid = u0.grid
-    hmax = max(grid.h)
-    scale = max(1.0, 1.0 + 0.25 * math.log10(epsilon / 1e-4))
-    margin_rho = 4.0 * hmax * scale
-    if torsion is None:
-        torsion = solve_torsion(grid)
-    return InitDataRecipe(
-        u0=u0, epsilon=epsilon, mollify_radius=margin_rho, margin_rho=margin_rho,
-        margin_theta=max(0.15 * min(grid.extents), margin_rho + 2.0 * hmax),
-        L=1.25 * max(phi_weighted_sup(u0, torsion), dirichlet_energy(u0, 0.0)))
 
 
 def torsion_profile(grid: Grid, corrected_mass: float, epsilon: float,

@@ -250,8 +250,7 @@ def test_criterion_8_initial_data_sequence(grid201, torsion201):
     results = []
     all_reports = True
     for eps in (1e-2, 1e-3, 1e-4):
-        recipe = idt.make_recipe(u0, eps, torsion=torsion201)
-        res = idt.construct_initial(recipe, torsion201)
+        res = idt.construct_initial(u0, eps)
         all_reports &= res.passed()
         results.append(res)
     seq = idt.verify_epsilon_sequence(results, u0)

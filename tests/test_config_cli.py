@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -239,6 +240,20 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert "mass_ode" in text
 
 
+def test_verify_rejects_an_unknown_check_name(tmp_path, capsys):
+    # the names are checked before any check runs, so a short run will do
+    cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("solver.t_end = 5.0", "solver.t_end = 0.05"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson"), "--checks", "mass_od"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "['mass_od']" in captured.err and "gradient_bound" in captured.err
+
+
 CANONICAL_BLOWUP = """
 grid.n = 201
 init.mass = 1.5
@@ -411,6 +426,19 @@ def test_run_exits_2_when_the_initial_data_fails_its_report(text, tmp_path, caps
             == (tmp_path / "init" / "initdata_report.csv").read_text())
 
 
+@pytest.mark.parametrize("text", [
+    "grid.n = 41\n",
+    "grid.dimension = 2\ngrid.n = 41\n",
+], ids=["1d-41", "2d-41"])
+def test_initdata_on_a_coarse_grid_names_the_settings_to_change(text, tmp_path, capsys):
+    # the collar of the constructed profile is derived from the grid and
+    # epsilon; the error names the keys that set them
+    cfg_path = _write_cfg(tmp_path, "init.profile = constructed\ninit.mass = 0.02\n" + text)
+    assert main(["initdata", "--config", cfg_path, "--out", str(tmp_path / "init")]) == 1
+    err = capsys.readouterr().err
+    assert "grid.n" in err and "solver.epsilon" in err
+
+
 def test_artifacts_get_the_mode_of_trace_csv(tmp_path, capsys):
     # every artifact is created as open() creates trace.csv: 0o666 less the umask
     cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
@@ -477,6 +505,14 @@ def test_replicator_keys_validated_without_enabled_flag(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, "replicator.payoff = bogus\n")
     assert main(["replicator", "--config", cfg_path]) == 1
     assert "replicator.payoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["replicator.dt", "replicator.t_end"])
+def test_replicator_time_keys_reported_under_their_own_key(key):
+    with pytest.raises(ConfigError, match=rf"line 2: key '{re.escape(key)}'"):
+        parse_config(f"grid.n = 51\n{key} = -1\n")
+    with pytest.raises(ConfigError, match=rf"line 3: key '{re.escape(key)}'"):
+        parse_config(f"grid.n = 51\n\n{key} = 0\n")
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

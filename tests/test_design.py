@@ -2,7 +2,8 @@
 writer, one owner of the singular time, no reads of mesh's private names
 outside mesh, the removed config keys and values rejected by name, README's
 key table in step with the schema, no import that only a rarely used path
-needs, and a time step on plain arrays."""
+needs, a time step on plain arrays, and no dead private helper or unused
+import."""
 
 import ast
 import os
@@ -132,6 +133,44 @@ def test_readme_lists_the_config_keys_with_their_defaults():
         assert config._convert(key, kind, raw, 0) == default, key
     retired = _readme_table("| retired key | value now |")
     assert sorted(retired) == sorted(RETIRED)
+
+
+def _loaded_names(node) -> set:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_private_helper_is_used_elsewhere_in_src():
+    # a module-level private function or class that no other top-level
+    # statement of the package names is dead code
+    statements = [(name, stmt) for name, text in _sources().items()
+                  for stmt in ast.parse(text).body]
+    unused = []
+    for name, stmt in statements:
+        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not any(stmt.name in _loaded_names(other)
+                            for _, other in statements if other is not stmt)):
+            unused.append(f"{name}.{stmt.name}")
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports only to re-export
+    unused = []
+    for name, text in _sources().items():
+        if name == "__init__":
+            continue
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():

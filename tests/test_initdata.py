@@ -112,8 +112,7 @@ def test_mollify_keeps_energy_of_boundary_layer(grid201, torsion201):
 
 def test_construct_initial_boundary_and_report(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
-    recipe = idt.make_recipe(u0, EPS, torsion=torsion201)
-    result = idt.construct_initial(recipe, torsion201)
+    result = idt.construct_initial(u0, EPS)
     assert np.all(result.u0eps.values[grid201.boundary_mask] == EPS)
     assert np.min(result.u0eps.values) >= EPS - 1e-12
     assert result.passed(), [c.name for c in result.report if not c.passed]
@@ -124,18 +123,16 @@ def test_construct_initial_boundary_and_report(grid201, torsion201):
 def test_constructed_field_under_weighted_envelope(grid201, torsion201):
     # pointwise: u0eps - eps <= (L + headroom) * Phi on interior nodes
     u0 = half_torsion(grid201, torsion201)
-    recipe = idt.make_recipe(u0, EPS, torsion=torsion201)
-    result = idt.construct_initial(recipe, torsion201)
+    result = idt.construct_initial(u0, EPS)
+    bound_l = 1.25 * max(rd.phi_weighted_sup(u0, torsion201), dirichlet_energy(u0, 0.0))
     interior = grid201.interior_mask
-    envelope = (recipe.L + max(result.headroom, 0.0) + 1e-12) * torsion201.phi.values
+    envelope = (bound_l + max(result.headroom, 0.0) + 1e-12) * torsion201.phi.values
     assert np.all(result.u0eps.values[interior] - EPS <= envelope[interior] + 1e-12)
 
 
 def test_construct_initial_rejects_zero_data(grid201):
-    with pytest.raises(idt.InitDataError):
-        recipe = idt.InitDataRecipe(Field(grid201, np.zeros(grid201.shape)),
-                                    EPS, 0.05, 0.02, 0.15, 1.0)
-        idt.construct_initial(recipe)
+    with pytest.raises(idt.InitDataError, match="strictly positive"):
+        idt.construct_initial(Field(grid201, np.zeros(grid201.shape)), EPS)
 
 
 def test_construct_initial_rejects_high_energy_data(grid201, torsion201):
@@ -143,27 +140,15 @@ def test_construct_initial_rejects_high_energy_data(grid201, torsion201):
     # of supercritical energy; the error directs to smaller collars/finer grids
     scale = 1.5 / integrate(torsion201.phi)
     u0 = Field(grid201, scale * torsion201.phi.values)
-    recipe = idt.make_recipe(u0, EPS, torsion=torsion201)
     with pytest.raises(idt.InitDataError, match="no real root"):
-        idt.construct_initial(recipe, torsion201)
-
-
-def test_verify_report_catches_corrupted_boundary(grid201, torsion201):
-    u0 = half_torsion(grid201, torsion201)
-    recipe = idt.make_recipe(u0, EPS, torsion=torsion201)
-    result = idt.construct_initial(recipe, torsion201)
-    result.u0eps.values[0] = 0.5  # corrupt one boundary node
-    report = idt.verify_approx_properties(result, recipe, torsion201)
-    by_name = {c.name: c for c in report}
-    assert not by_name["boundary_value"].passed
+        idt.construct_initial(u0, EPS)
 
 
 def test_epsilon_sequence_converges(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
     results = []
     for eps in (1e-2, 1e-3, 1e-4):
-        recipe = idt.make_recipe(u0, eps, torsion=torsion201)
-        results.append(idt.construct_initial(recipe, torsion201))
+        results.append(idt.construct_initial(u0, eps))
         assert results[-1].passed()
     seq = idt.verify_epsilon_sequence(results, u0)
     assert seq["c_gap_decreasing"]
@@ -178,8 +163,7 @@ def test_constant_approaches_target_energy_on_fine_grid():
     tor = rd.solve_torsion(g)
     u0 = Field(g, 0.5 * tor.phi.values)
     target = dirichlet_energy(u0, 0.0)
-    recipe = idt.make_recipe(u0, EPS, torsion=tor)
-    result = idt.construct_initial(recipe, tor)
+    result = idt.construct_initial(u0, EPS)
     assert abs(result.C - target) / target <= 0.10
     assert result.passed()
 
@@ -190,3 +174,15 @@ def test_torsion_profile_exact_mass_and_floor(grid201, torsion201):
     assert corrected == pytest.approx(1.5, abs=1e-12)
     assert np.all(u0eps.values[grid201.boundary_mask] == EPS)
     assert np.min(u0eps.values) >= EPS
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_construct_initial_names_the_settings_a_coarse_grid_needs(dimension):
+    # the collar is at least four cells wide and at most 1/16 of the domain,
+    # so at epsilon 1e-3 a unit box needs 81 nodes per axis
+    coarse = build_grid(dimension, [1.0] * dimension, [41] * dimension)
+    u0 = half_torsion(coarse, rd.solve_torsion(coarse))
+    with pytest.raises(idt.InitDataError, match=r"grid\.n.*solver\.epsilon"):
+        idt.construct_initial(u0, EPS)
+    fine = build_grid(dimension, [1.0] * dimension, [81] * dimension)
+    idt.construct_initial(half_torsion(fine, rd.solve_torsion(fine)), EPS)
