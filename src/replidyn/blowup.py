@@ -129,7 +129,8 @@ def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
 
     The singular time and its spread (both left out when the estimate fails), the
     Poincare constant, the Poincare blow-up bound for supercritical corrected
-    mass, and with >= 3 snapshots the blow-up set fraction and core growth.
+    mass, and the blow-up set fraction and core growth when the checkpoint
+    times pick at least 3 distinct snapshots (left out otherwise).
     """
     metrics = []
     try:
@@ -143,9 +144,11 @@ def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
     if y0 > 1.0:
         metrics.append(("poincare_upper_bound",
                         poincare_blowup_bound(y0, c_p, grid.volume)))
-    if len(snapshots) >= 3:
+    try:
         report = blowup_set_estimate(snapshots)
-        metrics.append(("blowup_set_fraction", report.blowup_set_fraction))
-        metrics += [(f"core_min_growth_{margin:g}", g)
-                    for margin, g in report.core_min_growth.items()]
+    except ValueError:  # fewer than 3 distinct snapshots at the checkpoints
+        return metrics
+    metrics.append(("blowup_set_fraction", report.blowup_set_fraction))
+    metrics += [(f"core_min_growth_{margin:g}", g)
+                for margin, g in report.core_min_growth.items()]
     return metrics

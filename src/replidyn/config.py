@@ -73,6 +73,11 @@ class ExperimentConfig:
         return cfg
 
 
+def sweep_tag(value) -> str:
+    """The tag of a sweep value in its run directory, run_<axis>_<tag>."""
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 @dataclass
 class SweepSpec:
     base: ExperimentConfig
@@ -89,6 +94,14 @@ class SweepSpec:
             raise ConfigError("sweep values list must be nonempty")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        by_tag: dict[str, list] = {}
+        for v in self.values:
+            by_tag.setdefault(sweep_tag(v), []).append(v)
+        shared = [f"sweep values {', '.join(map(repr, vs))} share the run "
+                  f"directory run_{self.axis}_{tag}"
+                  for tag, vs in by_tag.items() if len(vs) > 1]
+        if shared:
+            raise ConfigError("; ".join(shared))
 
     def configs(self) -> list[ExperimentConfig]:
         key = SWEEP_AXES[self.axis]

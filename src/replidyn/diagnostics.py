@@ -96,11 +96,11 @@ class Trace:
         """Write the trace to an open text file (csv-module rows, CRLF)."""
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for i in range(len(self)):
-            writer.writerow([repr(float(self.t[i])), repr(float(self.dt[i])),
-                             repr(float(self.mass[i])), repr(float(self.energy[i])),
-                             repr(float(self.sup_norm[i])), repr(float(self.phi_norm[i])),
-                             repr(float(self.rho_value[i])), int(self.floored[i])])
+        floats = [np.asarray(column, dtype=float).tolist()
+                  for column in (self.t, self.dt, self.mass, self.energy,
+                                 self.sup_norm, self.phi_norm, self.rho_value)]
+        floored = map(int, np.asarray(self.floored).tolist())
+        writer.writerows(zip(*(map(repr, column) for column in floats), floored))
 
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None,

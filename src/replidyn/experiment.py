@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .blowup import blowup_metrics
-from .config import ExperimentConfig, SweepSpec
+from .config import ExperimentConfig, SweepSpec, sweep_tag
 from .elliptic import solve_torsion, solve_torsion_subdomain
 from .initdata import construct_initial, torsion_profile
 from .mesh import Field, build_grid, integrate, write_snapshots
@@ -252,18 +252,13 @@ def initdata_report_csv(report) -> str:
                     [[c.name, c.measured, c.threshold, c.passed] for c in report])
 
 
-def _format_axis_value(value) -> str:
-    return f"{value:g}" if isinstance(value, float) else str(value)
-
-
 def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
     """Run all sweep configurations; returns (exit_code, summary rows)."""
     out_root_dir = out_root_dir or os.path.join(output_root(),
                                                 spec.base["output.dir"] + "_sweep")
 
     def one(value, cfg):
-        tag = _format_axis_value(value)
-        run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{tag}")
+        run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{sweep_tag(value)}")
         try:
             return run_experiment(cfg, run_dir)
         except Exception as exc:  # defensive: record, do not kill the sweep
@@ -279,7 +274,7 @@ def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
         worst = max(worst, code)
         tme = summary.get("t_max_estimate", math.nan)
         resid = summary.get("check_mass_ode")
-        rows.append([_format_axis_value(value), summary.get("outcome", "Error"),
+        rows.append([sweep_tag(value), summary.get("outcome", "Error"),
                      "" if math.isnan(tme) else repr(tme),
                      "" if resid is None else repr(resid)])
     atomic_write_text(os.path.join(out_root_dir, "sweep_summary.csv"),

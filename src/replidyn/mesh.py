@@ -232,7 +232,7 @@ def write_snapshots(fh, snapshots) -> None:
     snapshot with keys t, shape, values (row-major)."""
     for t, field in snapshots:
         rec = {"t": float(t), "shape": list(field.grid.shape),
-               "values": [float(x) for x in field.values.ravel()]}
+               "values": field.values.ravel().tolist()}
         fh.write(json.dumps(rec) + "\n")
 
 

@@ -30,9 +30,9 @@ tolerance, and a run is deterministic.
 
 The step size halves when the sup norm moves by more than 10% per step and
 grows by 1.2x when it moves by less than 1%, capped by the reaction scale
-0.5 / rho_eps so the nonlocal term stays resolved near blow-up.  The last
-step is clamped to t_end, below dt_min if need be, and does not count as
-starvation.
+reaction_cap_c / max(rho_eps, 1) so the nonlocal term stays resolved near
+blow-up.  The last step is clamped to t_end, below dt_min if need be, and
+does not count as starvation.
 
 A run ends in one of three outcomes: Decayed (corrected mass fell below
 DECAY_THRESHOLD of its initial value), RanToEnd, or BlowUp (sup norm crossed
@@ -54,8 +54,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .diagnostics import Trace
-from .elliptic import TorsionSolution, _interior_laplacian, phi_weighted_sup, solve_torsion
-from .mesh import Field, Grid, dirichlet_energy, edge_energy, integrate
+from .elliptic import TorsionSolution, _interior_laplacian, solve_torsion
+from .mesh import Field, Grid, dirichlet_energy, edge_energy
 
 __all__ = [
     "SolverParams",
@@ -172,7 +172,8 @@ class _Workspace:
         rhs = (1.0 + dt * f) + dt * eps * self.bc
         inv_u = 1.0 / u_int
         if self.grid.dimension == 1:
-            if not (np.isfinite(inv_u).all() and np.isfinite(rhs).all()):
+            # gtsv would turn non-finite data into a NaN solution without error
+            if not np.isfinite(inv_u).all():
                 raise ValueError("semi-implicit solve got non-finite data")
             h2 = self.grid.h[0] ** 2
             off = np.full(self.n_interior - 1, -dt * (1.0 / h2))
@@ -238,13 +239,14 @@ def step(state: SolverState, params: SolverParams,
     dt = min(max(want, params.dt_min), remaining)
     new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
 
-    floored = int((new_int < eps - 1e-15).sum())
-    new_int = np.maximum(new_int, eps)
+    floored = np.count_nonzero(new_int < eps - 1e-15)
+    np.maximum(new_int, eps, out=new_int)  # the solve's output is a fresh array
     u = np.full(state.u.shape, eps)
     u[workspace.interior] = new_int.reshape(workspace.interior_shape)
 
-    # boundary nodes never move, so the interior decides the relative change
-    rel = float(np.abs(new_int - u_int).max()) / max(float(np.abs(u_int).max()), eps)
+    # boundary nodes never move, so the interior decides the relative change;
+    # states are >= eps > 0, so the old sup norm is the interior maximum
+    rel = float(np.abs(new_int - u_int).max()) / max(float(u_int.max()), eps)
     next_dt = dt
     if rel > 0.10:
         next_dt = dt * 0.5
@@ -274,23 +276,29 @@ def run(u0eps: Field, params: SolverParams,
         min(1e4 * float(np.max(u0eps.values)), 0.8 * torsion.max_phi / eps)
 
     workspace = _Workspace(grid)
+    weights = grid.quad_weights
+    index, phi = torsion.positive_set
     e0 = dirichlet_energy(u0eps, eps)
-    # one Field per state: integrate() reads it, and snapshots hand it out
-    field = u0eps.copy()
-    state = SolverState(t=0.0, u=field.values, dt=params.dt_init, energy=e0,
+    state = SolverState(t=0.0, u=u0eps.values.copy(), dt=params.dt_init, energy=e0,
                         rho_value=rho_eps(e0, eps))
-    # mass and sup of the current state, computed once per state
-    mass = integrate(field)
-    sup = float(state.u.max())
     rows = []
 
+    # Each state's reductions are taken once, from its plain array: the mass
+    # is the expression integrate() evaluates, the phi-norm the one
+    # phi_weighted_sup() evaluates on u - eps, restricted to the positive set
+    # first.  The energy's finiteness check in step() covers every state, and
+    # a Field is built only for a snapshot.
+    def mass_and_sup(state: SolverState) -> tuple[float, float]:
+        return float((weights * state.u).sum()), float(state.u.max())
+
     def record(state: SolverState, mass: float, sup: float) -> None:
-        rows.append((state.t, state.dt, mass, state.energy, sup,
-                     phi_weighted_sup(state.u - eps, torsion),
+        phi_norm = float(abs((state.u.take(index) - eps) / phi).max())
+        rows.append((state.t, state.dt, mass, state.energy, sup, phi_norm,
                      state.rho_value, state.floored))
 
+    mass, sup = mass_and_sup(state)
     record(state, mass, sup)
-    snapshots = [(0.0, field)]
+    snapshots = [(0.0, Field(grid, state.u))]
     eps_offset = eps * grid.volume
     initial_corrected = mass - eps_offset
     max_floored = 0
@@ -312,16 +320,14 @@ def run(u0eps: Field, params: SolverParams,
 
         prev_sup = sup
         state = step(state, params, workspace)
-        field = Field(grid, state.u)
-        mass = integrate(field)
-        sup = float(state.u.max())
+        mass, sup = mass_and_sup(state)
         step_index += 1
         max_floored = max(max_floored, state.floored)
 
         if step_index % params.trace_stride == 0:
             record(state, mass, sup)
         if step_index % params.snapshot_stride == 0:
-            snapshots.append((state.t, field))
+            snapshots.append((state.t, Field(grid, state.u)))
         if state.starved and sup > prev_sup:
             outcome = "BlowUp"
             break
@@ -329,14 +335,14 @@ def run(u0eps: Field, params: SolverParams,
     if state.t > rows[-1][0]:
         record(state, mass, sup)
     if state.t > snapshots[-1][0]:
-        snapshots.append((state.t, field))
+        snapshots.append((state.t, Field(grid, state.u)))
 
     data = np.asarray(rows, dtype=float)
     trace = Trace(*data[:, :7].T, data[:, 7].astype(int), eps, grid.volume)
     max_floor_frac = max_floored / max(workspace.n_interior, 1)
     return SimulationResult(
         outcome=outcome, t_last=state.t, trace=trace, snapshots=snapshots,
-        params=params, sup_cap=sup_cap, final=field,
+        params=params, sup_cap=sup_cap, final=snapshots[-1][1],
         max_floored_fraction=max_floor_frac,
         floor_flagged=max_floor_frac > 1e-3,
         steps=step_index,

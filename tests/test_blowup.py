@@ -1,5 +1,6 @@
 """Singular-time extrapolation and blow-up set classification."""
 
+import csv
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import replidyn as rd
 from replidyn import blowup
+from replidyn.config import parse_config
+from replidyn.experiment import run_experiment
 from replidyn.mesh import Field
 
 from conftest import DEEP_EPS, deep_params, precap_trace, torsion_blowup_time
@@ -120,3 +123,19 @@ def test_estimate_extrapolates_beyond_fit_window(run_deep):
     usable = (trace.corrected_mass > 1.0) & ~trace.saturated()
     last_used = trace.t[usable][-1]
     assert blowup.estimate_tmax(trace)[0] > last_used
+
+
+def test_blowup_run_with_collapsed_checkpoints_reports_blowup(tmp_path):
+    # at default steps the run blows up in 87 steps: a stride of 80 keeps the
+    # snapshots at t = 0, 0.0421 and 0.0426, and every checkpoint time from
+    # half the last one on is nearest to one of the last two
+    cfg = parse_config("grid.n = 201\ninit.mass = 1.5\nsolver.snapshot_stride = 80\n")
+    code, summary = run_experiment(cfg, str(tmp_path / "run"))
+    assert summary["outcome"] == "BlowUp"
+    assert code != 1
+    assert (tmp_path / "run" / "trace.csv").exists()
+    with open(tmp_path / "run" / "blowup.csv") as fh:
+        metrics = {row[0] for row in csv.reader(fh)}
+    assert {"t_max_estimate", "poincare_constant"} <= metrics
+    assert "blowup_set_fraction" not in metrics
+    assert "blowup_set_fraction" not in summary

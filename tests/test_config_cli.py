@@ -203,6 +203,21 @@ def test_sweep_outputs_independent_of_parallelism(tmp_path):
     assert (tmp_path / "s1" / "sweep_summary.csv").exists()
 
 
+def test_sweep_refuses_values_that_share_a_run_directory(tmp_path, capsys):
+    # each run writes run_<axis>_<value:g>; 0.5 and 0.5000001 share one
+    # directory, and two workers would write it at the same time
+    cfg = parse_config(FAST_RUN)
+    with pytest.raises(ConfigError, match=r"0\.5, 0\.5000001.*run_initial_mass_0\.5"):
+        SweepSpec(base=cfg, axis="initial_mass", values=[0.5, 0.8, 0.5000001])
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", _write_cfg(tmp_path, FAST_RUN),
+                 "--axis", "initial_mass", "--values", "0.5,0.5000001",
+                 "--parallel", "2", "--out", str(out)])
+    assert code == 1
+    assert "0.5000001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_records_individual_failures(tmp_path):
     cfg = parse_config(FAST_RUN).with_value("diagnostics.margin", 0.499)
     spec = SweepSpec(base=cfg, axis="initial_mass", values=[0.5])

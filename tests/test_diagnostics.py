@@ -1,5 +1,7 @@
 """Identity and estimate checks on traces and snapshots."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -202,6 +204,31 @@ def test_trace_csv_roundtrip_bytes(run_decay, tmp_path):
     atomic_write_text(str(p2), back.to_csv)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.t, run_decay.trace.t)
+
+
+def test_trace_csv_bytes_equal_the_per_row_rendering():
+    # the writer converts whole columns; it must print every value as the
+    # per-element repr(float()) and int() rendering it replaced did
+    values = np.array([0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0])
+    trace = Trace(np.array([0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300]), values,
+                  values[::-1], -values, values * 2, values[::-1] / 3, values,
+                  np.array([0, 3, 7, 0, 12]))
+    fh = io.StringIO(newline="")
+    trace.to_csv(fh)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TRACE_COLUMNS)
+    for i in range(len(trace)):
+        writer.writerow([repr(float(trace.t[i])), repr(float(trace.dt[i])),
+                         repr(float(trace.mass[i])), repr(float(trace.energy[i])),
+                         repr(float(trace.sup_norm[i])), repr(float(trace.phi_norm[i])),
+                         repr(float(trace.rho_value[i])), int(trace.floored[i])])
+    assert fh.getvalue() == expected.getvalue()
+    lines = fh.getvalue().split("\r\n")
+    assert lines[1] == "0.0,0.1,-0.0,-0.1,0.2,-0.0,0.1,0"
+    assert lines[3] == "0.1,5e-324,5e-324,-5e-324,1e-323,0.0,5e-324,7"
+    assert lines[5] == "1e+300,-0.0,0.1,0.0,-0.0,0.03333333333333333,-0.0,12"
+    assert lines[6] == ""
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,5 +1,8 @@
 """Grid construction, quadrature, stencils, and their consistency orders."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -195,3 +198,24 @@ def test_snapshot_ndjson_roundtrip(tmp_path):
     for (t0, f0), (t1, f1) in zip(snaps, back):
         assert t0 == t1
         assert np.array_equal(f0.values, f1.values)
+
+
+SPECIAL_VALUES = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 2.0]
+
+
+def test_write_snapshots_bytes_equal_the_per_element_rendering():
+    # the writer dumps whole arrays; it must print every value as the
+    # per-element float() rendering it replaced did, subnormals and -0.0 too
+    g = build_grid(2, [1.0, 1.0], [3, 4])
+    values = np.array(SPECIAL_VALUES * 2).reshape(g.shape)
+    snaps = [(0.0, Field(g, values)), (1.0 / 3.0, Field(g, -values[::-1]))]
+    fh = io.StringIO()
+    write_snapshots(fh, snaps)
+    expected = "".join(
+        json.dumps({"t": float(t), "shape": list(f.grid.shape),
+                    "values": [float(x) for x in f.values.ravel()]}) + "\n"
+        for t, f in snaps)
+    assert fh.getvalue() == expected
+    assert fh.getvalue().startswith(
+        '{"t": 0.0, "shape": [3, 4], "values": [0.1, 0.3333333333333333, '
+        '5e-324, 1e+300, -0.0, 2.0, 0.1,')

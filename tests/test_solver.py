@@ -12,7 +12,8 @@ from scipy.sparse.linalg import spsolve
 import replidyn as rd
 import replidyn.solver as solver_mod
 from conftest import trichotomy_params
-from replidyn.experiment import atomic_write_text
+from replidyn.config import parse_config
+from replidyn.experiment import atomic_write_text, run_experiment
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
 from replidyn.solver import CG_RTOL, SolverState, _Workspace, rho_eps, step
 
@@ -421,16 +422,68 @@ def test_1d_trace_bytes_are_golden(name, grid201, torsion201, run_blowup, tmp_pa
         "and its reason.")
 
 
-def test_run_integrates_once_per_trace_row(grid201, torsion201, monkeypatch):
-    calls = []
+class _CountingWeights(np.ndarray):
+    """Quadrature weights that record every ufunc applied to them."""
 
-    def counting(f):
-        calls.append(f)
-        return integrate(f)
+    uses: list
 
-    monkeypatch.setattr(solver_mod, "integrate", counting)
-    u0 = rd.torsion_profile(grid201, 1.5, EPS, torsion201)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.uses.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountingWeights) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_run_integrates_once_per_trace_row(grid201, torsion201):
+    # run takes the mass from the grid's quadrature weights, once per state
+    weights = grid201.quad_weights.copy().view(_CountingWeights)
+    weights.uses = []
+    grid = replace(grid201, quad_weights=weights)
+    u0 = Field(grid, rd.torsion_profile(grid201, 1.5, EPS, torsion201).values)
     result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, trace_stride=1),
                     torsion201)
     assert len(result.trace) > 50
-    assert len(calls) == len(result.trace)
+    assert weights.uses == ["multiply"] * len(result.trace)
+    assert len(result.trace) == result.steps + 1
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 201), (2, 21)])
+def test_trace_rows_are_the_reductions_of_the_stored_states(dimension, n):
+    # with a snapshot per state, every row is bitwise the mesh and elliptic
+    # reductions of the state stored beside it
+    grid = build_grid(dimension, [1.0] * dimension, [n] * dimension)
+    tor = rd.solve_torsion(grid)
+    u0 = rd.torsion_profile(grid, 1.5, EPS, tor)
+    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, trace_stride=1,
+                                        snapshot_stride=1), tor)
+    trace = result.trace
+    assert result.outcome == "BlowUp"
+    assert len(result.snapshots) == len(trace) > 30
+    assert result.final is result.snapshots[-1][1]
+    for i, (t, field) in enumerate(result.snapshots):
+        assert t == trace.t[i]
+        assert trace.mass[i] == integrate(field)
+        assert trace.energy[i] == dirichlet_energy(field, EPS)
+        assert trace.sup_norm[i] == float(field.values.max())
+        assert trace.phi_norm[i] == rd.phi_weighted_sup(field.values - EPS, tor)
+
+
+@pytest.mark.parametrize("config", [
+    "grid.n = 201\ninit.mass = 1.5\n",
+    "grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n",
+], ids=["1d", "2d21"])
+def test_run_calls_step_by_name_once_per_step(config, tmp_path, monkeypatch):
+    # the benchmark's traced pass counts solver.step calls through the
+    # module's global name and expects trace rows - 1 of them
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "step", counting)
+    code, summary = run_experiment(parse_config(config + "solver.trace_stride = 1\n"),
+                                   str(tmp_path))
+    trace = rd.Trace.from_csv(tmp_path / "trace.csv")
+    assert summary["outcome"] == "BlowUp"
+    assert len(calls) == len(trace) - 1 == summary["steps"] > 30
