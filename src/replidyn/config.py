@@ -50,7 +50,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 SWEEP_AXES = {
     "initial_mass": "init.mass",
     "epsilon": "solver.epsilon",
-    "n": "grid.n",
     "dt_init": "solver.dt_init",
     "margin": "diagnostics.margin",
 }
@@ -105,13 +104,7 @@ class SweepSpec:
 
     def configs(self) -> list[ExperimentConfig]:
         key = SWEEP_AXES[self.axis]
-        out = []
-        for v in self.values:
-            if key == "grid.n":
-                out.append(self.base.with_value(key, [int(v)] * self.base["grid.dimension"]))
-            else:
-                out.append(self.base.with_value(key, float(v)))
-        return out
+        return [self.base.with_value(key, float(v)) for v in self.values]
 
 
 def _convert(key: str, kind: str, raw: str, lineno: int):
@@ -171,9 +164,9 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
               ln("solver.dt_init"))
     if v["solver.t_end"] <= 0:
         _fail("solver.t_end", "must be positive", ln("solver.t_end"))
-    if v["solver.sup_cap"] < 0:
-        _fail("solver.sup_cap", "must be >= 0 (0 selects the automatic cap)",
-              ln("solver.sup_cap"))
+    if v["solver.sup_cap"] < 0 or 0 < v["solver.sup_cap"] <= v["solver.epsilon"]:
+        _fail("solver.sup_cap", "must exceed solver.epsilon, or be 0 to select "
+              "the automatic cap", ln("solver.sup_cap"))
     for key in ("solver.snapshot_stride", "solver.trace_stride"):
         if v[key] < 1:
             _fail(key, "must be a positive integer", ln(key))

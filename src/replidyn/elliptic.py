@@ -2,9 +2,9 @@
 
 The torsion function of the full domain weights the sup norm that encodes
 linear decay toward the boundary; torsion functions of concentric sub-boxes
-drive the interior estimates.  Systems are solved directly on the interior
-nodes by a sparse LU factorization with the minimum-degree ordering the 2D
-time step also uses.
+drive the interior estimates.  Each system is mesh's Dirichlet Laplacian,
+solved directly on the interior nodes by a sparse LU factorization with the
+minimum-degree ordering the 2D time step also uses.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Field, Grid, trapezoid_weights
+from .mesh import Field, Grid, dirichlet_laplacian, trapezoid_weights
 
 __all__ = [
     "TorsionSolution",
@@ -55,27 +54,11 @@ class TorsionSolution:
         return index, self.phi.values.take(index)
 
 
-def _interior_laplacian(shape: tuple[int, ...], h: tuple[float, ...]) -> sp.csr_matrix:
-    """Negative of the Dirichlet Laplacian (SPD) on the interior nodes."""
-    blocks = []
-    for k, step in zip(shape, h):
-        m = k - 2
-        main = np.full(m, 2.0 / step**2)
-        off = np.full(m - 1, -1.0 / step**2)
-        blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-    if len(blocks) == 1:
-        return blocks[0].tocsr()
-    ax, ay = blocks
-    ix = sp.identity(ax.shape[0], format="csr")
-    iy = sp.identity(ay.shape[0], format="csr")
-    return (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsr()
-
-
 @functools.lru_cache(maxsize=16)
 def _solve_poisson_unit_rhs(shape, h) -> np.ndarray:
     """Solve -Δφ = 1 on the interior of a box with zero boundary data, once
     per (shape, h) and process; the shared array is read-only."""
-    a = _interior_laplacian(shape, h)
+    a, _ = dirichlet_laplacian(shape, h)
     b = np.ones(a.shape[0])
     x = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
     interior_shape = tuple(k - 2 for k in shape)

@@ -197,17 +197,6 @@ def _interior_bump(grid: Grid, margin: float) -> Field:
     return f
 
 
-def _boundary_adjacent_mask(grid: Grid) -> np.ndarray:
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dimension):
-        sl = [slice(1, -1)] * grid.dimension
-        sl[axis] = 1
-        mask[tuple(sl)] = True
-        sl[axis] = -2
-        mask[tuple(sl)] = True
-    return mask
-
-
 def construct_initial(u0: Field, epsilon: float) -> InitDataResult:
     """Assemble the regularized initial data of u0 at ``epsilon`` and its
     property report.
@@ -303,9 +292,10 @@ def construct_initial(u0: Field, epsilon: float) -> InitDataResult:
     floor_err = float(np.min(u0eps.values - epsilon))
 
     energy = dirichlet_energy(u0eps, epsilon)
-    lap = mesh.laplacian(u0eps, epsilon)
-    adj = _boundary_adjacent_mask(grid)
-    compat = float(np.max(np.abs(lap.values[adj] + energy)) / energy)
+    # Δ_h u0eps at the nodes next to the boundary, where bc > 0
+    lap = mesh.laplacian(u0eps, epsilon).values[grid.interior_mask]
+    _, bc = mesh.dirichlet_laplacian(grid.shape, grid.h)
+    compat = float(np.max(np.abs(lap[bc > 0] + energy)) / energy)
 
     lifted = Field(grid, u0eps.values - epsilon)
     headroom = phi_weighted_sup(lifted, torsion) - bound_l

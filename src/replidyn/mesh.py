@@ -1,15 +1,18 @@
-"""Rectangular grids, finite-difference stencils, and quadrature.
+"""Rectangular grids, the Dirichlet Laplacian, and quadrature.
 
 Everything downstream (torsion solves, the time stepper, the verification
 checks) runs on the uniform node grids built here.  Integrals use trapezoid
-weights and the Laplacian is the second-order central stencil.  The discrete
-gradient lives on the grid edges: ``edge_differences`` gives the forward
-difference along each axis and ``edge_means`` the value at each edge midpoint.
-The Dirichlet energy sums the squared edge differences over every edge of
-every axis, times the cell volume; in 1D and in 2D that makes it the exact
-summation-by-parts partner of the Laplacian under the trapezoid weights,
-Σ w·u·Δ_h u = −E_h(u) for u constant on the boundary.  Edges touching the
-boundary always use the known boundary value, never extrapolation.
+weights.  The Dirichlet Laplacian (3 points in 1D, 5 in 2D) is assembled
+once, by ``dirichlet_laplacian``, as a sparse matrix on the interior nodes;
+the torsion solve, the time step and ``laplacian`` all use that one matrix.
+The discrete gradient lives on the grid edges: ``edge_differences`` gives the
+forward difference along each axis and ``edge_means`` the value at each edge
+midpoint.  The Dirichlet energy sums the squared edge differences over every
+edge of every axis, times the cell volume; in 1D and in 2D that makes it the
+exact summation-by-parts partner of the Laplacian under the trapezoid
+weights, Σ w·u·Δ_h u = −E_h(u) for u constant on the boundary.  Edges
+touching the boundary always use the known boundary value, never
+extrapolation.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 # edge_differences, edge_means and trapezoid_weights are public but not listed:
 # __all__ names the entry points of the grid layer, which bench/tracer.py wraps
@@ -30,6 +34,7 @@ __all__ = [
     "Field",
     "build_grid",
     "integrate",
+    "dirichlet_laplacian",
     "laplacian",
     "dirichlet_energy",
     "edge_energy",
@@ -145,19 +150,48 @@ def _with_boundary(f: Field, boundary_value: float) -> np.ndarray:
     return v
 
 
+# the cache wrapper is not a plain function, so bench/tracer.py leaves it
+# unwrapped: a span recorded only on a cache miss would differ between passes
+@functools.lru_cache(maxsize=16)
+def dirichlet_laplacian(shape: tuple[int, ...],
+                        h: tuple[float, ...]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The Dirichlet Laplacian (3 points in 1D, 5 in 2D) of a box with
+    ``shape`` nodes at spacing ``h``, as ``(A, bc)`` on the interior nodes in
+    row-major order.
+
+    ``A = -Δ_h`` is symmetric positive definite, and ``bc`` couples each
+    interior node to the boundary: ``1/h_k²`` per boundary neighbour along
+    axis k, so ``Δ_h u = b·bc - A @ u_int`` when u equals the constant b on
+    the boundary.  ``bc`` is the row sum ``A @ 1`` taken per axis, where it is
+    exact, so it is zero at every node with no boundary neighbour.  Built once
+    per (shape, h) and process; the pair is shared, and ``bc`` is read-only.
+    """
+    blocks = []
+    for k, step in zip(shape, h):
+        m = k - 2
+        main = np.full(m, 2.0 / step**2)
+        off = np.full(m - 1, -1.0 / step**2)
+        blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
+    row_sums = [b @ np.ones(b.shape[0]) for b in blocks]
+    bc = functools.reduce(np.add.outer, row_sums).ravel()
+    bc.flags.writeable = False
+    if len(blocks) == 1:
+        return blocks[0], bc
+    ax, ay = blocks
+    ix = sp.identity(ax.shape[0], format="csr")
+    iy = sp.identity(ay.shape[0], format="csr")
+    return (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsr(), bc
+
+
 def laplacian(f: Field, boundary_value: float) -> Field:
-    """Central-stencil Laplacian on interior nodes; boundary nodes of the
-    output are zero (the time stepper pins them separately)."""
+    """Δ_h f on the interior nodes, with f equal to ``boundary_value`` on the
+    boundary; boundary nodes of the output are zero (the time stepper pins
+    them separately)."""
     grid = f.grid
-    v = _with_boundary(f, boundary_value)
-    out = np.zeros_like(v)
-    core = tuple(slice(1, -1) for _ in range(grid.dimension))
-    for axis, step in enumerate(grid.h):
-        lo = [slice(1, -1)] * grid.dimension
-        hi = [slice(1, -1)] * grid.dimension
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        out[core] += (v[tuple(hi)] - 2.0 * v[core] + v[tuple(lo)]) / step**2
+    a, _ = dirichlet_laplacian(grid.shape, grid.h)
+    core = (slice(1, -1),) * grid.dimension
+    out = np.zeros(grid.shape)
+    out[core] = (a @ (boundary_value - f.values[core].ravel())).reshape(out[core].shape)
     return Field(grid, out)
 
 
@@ -236,12 +270,9 @@ def write_snapshots(fh, snapshots) -> None:
         fh.write(json.dumps(rec) + "\n")
 
 
-def read_snapshots(path, grid: Grid | None = None):
-    """Read NDJSON snapshots back as (t, Field|ndarray) pairs.
-
-    With a grid the values are wrapped into Fields (shape validated);
-    without one, raw arrays are returned.
-    """
+def read_snapshots(path, grid: Grid):
+    """Read NDJSON snapshots back as (t, Field) pairs on ``grid`` (shape
+    validated)."""
     out = []
     with open(path) as fh:
         for line in fh:
@@ -250,8 +281,5 @@ def read_snapshots(path, grid: Grid | None = None):
                 continue
             rec = json.loads(line)
             values = np.asarray(rec["values"], dtype=float).reshape(rec["shape"])
-            if grid is not None:
-                out.append((float(rec["t"]), Field(grid, values)))
-            else:
-                out.append((float(rec["t"]), values))
+            out.append((float(rec["t"]), Field(grid, values)))
     return out

@@ -54,8 +54,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .diagnostics import Trace
-from .elliptic import TorsionSolution, _interior_laplacian, solve_torsion
-from .mesh import Field, Grid, dirichlet_energy, edge_energy
+from .elliptic import TorsionSolution, solve_torsion
+from .mesh import Field, Grid, dirichlet_energy, dirichlet_laplacian, edge_energy
 
 __all__ = [
     "SolverParams",
@@ -152,13 +152,8 @@ class _Workspace:
         self.interior = (slice(1, -1),) * grid.dimension
         self.interior_shape = tuple(k - 2 for k in grid.shape)
         self.n_interior = math.prod(self.interior_shape)
-        self.neg_lap = _interior_laplacian(grid.shape, grid.h)
-        # bc with Lap_h u |interior = -neg_lap @ u_int + boundary_value * bc
-        bc = np.zeros(self.interior_shape)
-        for axis, step in enumerate(grid.h):
-            for end in (0, -1):
-                bc[(slice(None),) * axis + (end,)] += 1.0 / step**2
-        self.bc = bc.ravel()
+        # Lap_h u |interior = boundary_value * bc - neg_lap @ u_int
+        self.neg_lap, self.bc = dirichlet_laplacian(grid.shape, grid.h)
         self.lu = None
         self.previous = None  # (u_int, dt) of the last 2D solve
         self.factorizations = 0

@@ -12,7 +12,8 @@ import replidyn as rd
 import replidyn.elliptic as elliptic_mod
 import replidyn.experiment as experiment_mod
 from replidyn.cli import build_parser, main
-from replidyn.config import ConfigError, SweepSpec, config_to_text, parse_config
+from replidyn.config import (SWEEP_AXES, ConfigError, SweepSpec, config_to_text,
+                             parse_config)
 from replidyn.experiment import (diagnostics_rows, run_experiment, run_sweep,
                                  solver_params_from_config)
 
@@ -215,6 +216,18 @@ def test_sweep_refuses_values_that_share_a_run_directory(tmp_path, capsys):
                  "--parallel", "2", "--out", str(out)])
     assert code == 1
     assert "0.5000001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_the_grid_size_axis(tmp_path, capsys):
+    # a grid-size axis would truncate fractional values: 51.7 ran n=51
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", _write_cfg(tmp_path, FAST_RUN),
+                 "--axis", "n", "--values", "51,51.7", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown sweep axis 'n'" in err
+    assert all(axis in err for axis in SWEEP_AXES)
     assert not out.exists()
 
 
@@ -534,3 +547,17 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, "solver.epsilon = -3\n")
     assert main(["run", "--config", cfg_path]) == 1
     assert "solver.epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["1e-4", "1e-3"])
+def test_sup_cap_at_or_below_epsilon_is_a_config_error(cap, tmp_path, capsys):
+    # a cap the floor already reaches used to pass parsing and fail in run
+    # with no key and no line
+    text = f"grid.n = 51\nsolver.sup_cap = {cap}\n"
+    with pytest.raises(ConfigError, match=r"line 2: key 'solver.sup_cap'.*exceed"):
+        parse_config(text)
+    assert main(["run", "--config", _write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "line 2: key 'solver.sup_cap'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert parse_config("solver.sup_cap = 1.001e-3\n")["solver.sup_cap"] == 1.001e-3

@@ -1,9 +1,9 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one owner of the singular time, no reads of mesh's private names
-outside mesh, the removed config keys and values rejected by name, README's
-key table in step with the schema, no import that only a rarely used path
-needs, a time step on plain arrays, and no dead private helper or unused
-import."""
+writer, one owner of the singular time, one assembly of the Laplacian, no
+reads of mesh's private names outside mesh, the removed config keys and
+values rejected by name, README's key table in step with the schema, no
+import that only a rarely used path needs, a time step on plain arrays, and
+no dead private helper or unused import."""
 
 import ast
 import os
@@ -69,6 +69,30 @@ def test_one_function_estimates_the_singular_time():
              for node in ast.walk(f) if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "estimate_tmax"]
     assert sites == ["blowup.blowup_metrics"]
+
+
+def _laplacian_assembly_calls(tree):
+    """Calls that build the stencil's sparse blocks or their tensor product:
+    any kron, and diags with offsets [-1, 0, 1]."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func).split(".")[-1]
+        offsets = [ast.unparse(a) for a in node.args[1:2]]
+        offsets += [ast.unparse(k.value) for k in node.keywords if k.arg == "offsets"]
+        if name == "kron" or (name == "diags" and "[-1, 0, 1]" in offsets):
+            calls.append(ast.unparse(node))
+    return calls
+
+
+def test_only_mesh_assembles_the_laplacian():
+    # the torsion solve, the time step, laplacian() and the init-data check
+    # all use mesh.dirichlet_laplacian; a second assembly could drift from it
+    sites = {name: _laplacian_assembly_calls(ast.parse(text))
+             for name, text in _sources().items()}
+    assert sites.pop("mesh")
+    assert {name: calls for name, calls in sites.items() if calls} == {}
 
 
 def test_only_mesh_reads_private_mesh_names():

@@ -5,9 +5,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import replidyn as rd
-from replidyn.elliptic import _interior_laplacian
 from replidyn.experiment import atomic_write_text
-from replidyn.mesh import Field, build_grid
+from replidyn.mesh import Field, build_grid, dirichlet_laplacian
 
 
 def square_torsion_center_series(terms=200):
@@ -131,7 +130,7 @@ def test_poincare_constant_matches_first_eigenvalue(grid201):
 def _inverse_power_poincare_constant(grid, maxiter=200, tol=1e-12):
     """Oracle: 1/lambda_min of the interior Dirichlet Laplacian by inverse
     power iteration with one sparse factorization."""
-    a = _interior_laplacian(grid.shape, grid.h)
+    a, _ = dirichlet_laplacian(grid.shape, grid.h)
     lu = splu(a.tocsc())
     x = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
     lam = 0.0

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from replidyn.experiment import atomic_write_text
-from replidyn.mesh import (Field, build_grid, dirichlet_energy, edge_differences,
-                           edge_means, gradient_inner, integrate, laplacian,
-                           read_snapshots, write_snapshots)
+from replidyn.mesh import (Field, build_grid, dirichlet_energy, dirichlet_laplacian,
+                           edge_differences, edge_means, gradient_inner, integrate,
+                           laplacian, read_snapshots, write_snapshots)
 
 
 def torsion_exact(x):
@@ -159,6 +159,50 @@ def test_summation_by_parts_exact(dimension, n):
     lap = laplacian(f, 0.0)
     energy = dirichlet_energy(f, 0.0)
     assert abs(np.sum(g.quad_weights * f.values * lap.values) + energy) <= 1e-12 * energy
+
+
+OPERATOR_GRIDS = [(1, [1.0], [81]), (2, [1.0, 1.0], [41, 41]),
+                  (2, [1.0, 2.0], [9, 13]), (2, [3.0, 1.3], [51, 81])]
+OPERATOR_IDS = ["1d-81", "2d-41", "2d-1x2", "2d-anisotropic"]
+
+
+@pytest.mark.parametrize("dimension, extents, n, bitwise", [
+    (*grid, bitwise) for grid, bitwise in zip(OPERATOR_GRIDS, [True, False, True, False])
+], ids=OPERATOR_IDS)
+def test_boundary_coupling_is_the_row_sum_of_the_operator(dimension, extents, n, bitwise):
+    # bc is A @ 1 taken per axis, where the sum is exact.  It is bitwise
+    # A @ 1 where every 2D row sum rounds exactly, within an ulp elsewhere,
+    # and zero at every node with no boundary neighbour: on an anisotropic
+    # grid A @ 1 itself leaves about 1e-13 there.
+    g = build_grid(dimension, extents, n)
+    a, bc = dirichlet_laplacian(g.shape, g.h)
+    row_sums = a @ np.ones(a.shape[0])
+    if bitwise:
+        assert row_sums.tobytes() == bc.tobytes()
+    assert np.max(np.abs(row_sums - bc)) <= 2e-16 * np.max(bc)
+    index = np.indices(g.shape)
+    adjacent = np.any([(i == 1) | (i == k - 2) for i, k in zip(index, g.shape)], axis=0)
+    assert np.array_equal(bc > 0, adjacent[g.interior_mask])
+
+
+@pytest.mark.parametrize("dimension, extents, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+def test_laplacian_is_the_assembled_operator(dimension, extents, n):
+    g = build_grid(dimension, extents, n)
+    a, bc = dirichlet_laplacian(g.shape, g.h)
+    f = _random_trig_field(g)
+    b = 0.3
+    expected = b * bc - a @ f.values[g.interior_mask]
+    lap = laplacian(f, b).values
+    assert np.max(np.abs(lap[g.interior_mask] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(lap[g.boundary_mask] == 0.0)
+
+
+def test_dirichlet_laplacian_is_built_once_and_its_coupling_is_read_only():
+    g = build_grid(2, [1.0, 1.0], [41, 41])
+    a, bc = dirichlet_laplacian(g.shape, g.h)
+    assert dirichlet_laplacian(g.shape, g.h)[0] is a
+    with pytest.raises(ValueError, match="read-only"):
+        bc[0] = 0.0
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
