@@ -21,6 +21,7 @@ from .elliptic import measure_poincare_constant
 __all__ = [
     "BlowupReport",
     "estimate_tmax",
+    "checkpoint_indices",
     "blowup_set_estimate",
     "poincare_blowup_bound",
     "blowup_metrics",
@@ -61,6 +62,14 @@ def estimate_tmax(trace: Trace, min_rows: int = 10):
     return float(t_row[-1]), float(np.ptp(t_row) / t_row[-1])
 
 
+def checkpoint_indices(times, checkpoints=None) -> list[int]:
+    """Sorted distinct indices of the first time nearest each checkpoint (by default
+    DEFAULT_CHECKPOINT_FRACTIONS of the last time); on its own picks it keeps them all."""
+    if checkpoints is None:
+        checkpoints = [f * t for t in times[-1:] for f in DEFAULT_CHECKPOINT_FRACTIONS]
+    return sorted({int(np.argmin(np.abs(times - c))) for c in checkpoints})
+
+
 def blowup_set_estimate(snapshots, checkpoints=None,
                         growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
                         core_margins=(0.25,)) -> BlowupReport:
@@ -74,12 +83,7 @@ def blowup_set_estimate(snapshots, checkpoints=None,
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots to classify blow-up")
     times = np.array([t for t, _ in snapshots])
-    t_last = times[-1]
-    if checkpoints is None:
-        checkpoints = [f * t_last for f in DEFAULT_CHECKPOINT_FRACTIONS]
-    if len(checkpoints) < 3:
-        raise ValueError("need at least 3 checkpoint times")
-    idx = sorted({int(np.argmin(np.abs(times - c))) for c in checkpoints})
+    idx = checkpoint_indices(times, checkpoints)
     if len(idx) < 3:
         raise ValueError("checkpoints collapse onto fewer than 3 distinct snapshots")
 

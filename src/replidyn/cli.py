@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .blowup import blowup_metrics
+from .blowup import blowup_metrics, checkpoint_indices
 from .config import ConfigError, SweepSpec, parse_config
 from .elliptic import solve_torsion
 from .experiment import (DIAGNOSTICS_HEADER, EXIT_CHECK_FAILED, EXIT_ERROR,
@@ -78,6 +78,8 @@ def _cmd_verify(args) -> int:
     eps, omega_measure, sup_cap = _recorded_run(args.trace)
     trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
     snapshots = read_snapshots(args.snapshots, grid)
+    if not snapshots:
+        raise ValueError(f"{args.snapshots}: no records")
     u0eps = snapshots[0][1]
 
     checks = args.checks.split(",") if args.checks else None
@@ -112,7 +114,7 @@ def _cmd_blowup(args) -> int:
     grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
     eps, omega_measure, _ = _recorded_run(args.trace)
     trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
-    snapshots = read_snapshots(args.snapshots, grid)
+    snapshots = read_snapshots(args.snapshots, grid, pick=checkpoint_indices)
 
     text = csv_text(["metric", "value"], blowup_metrics(trace, snapshots, grid))
     if args.out:

@@ -263,23 +263,46 @@ def distance_to_boundary(grid: Grid) -> np.ndarray:
 
 def write_snapshots(fh, snapshots) -> None:
     """Write (t, Field) pairs to an open text file as NDJSON: one record per
-    snapshot with keys t, shape, values (row-major)."""
+    snapshot with keys t (always first), shape, values (row-major)."""
     for t, field in snapshots:
         rec = {"t": float(t), "shape": list(field.grid.shape),
                "values": field.values.ravel().tolist()}
         fh.write(json.dumps(rec) + "\n")
 
 
-def read_snapshots(path, grid: Grid):
+_TIME_KEY, _DECODER = '{"t": ', json.JSONDecoder()
+
+
+def _record_time(line: str) -> float:
+    """A record's time from its leading "t" key, else from the whole record."""
+    if line.startswith(_TIME_KEY):
+        return float(_DECODER.raw_decode(line, len(_TIME_KEY))[0])
+    return float(json.loads(line)["t"])
+
+
+def read_snapshots(path, grid: Grid, pick=None):
     """Read NDJSON snapshots back as (t, Field) pairs on ``grid`` (shape
-    validated)."""
-    out = []
-    with open(path) as fh:
+    validated).  ``pick`` maps the array of every record's time to the
+    indices of the records to decode, reading only the time of the others, one
+    record's text at a time.  Errors name the file and 1-based record number."""
+    def parse(k, decode, line=None):
+        try:
+            if line is None:
+                fh.seek(starts[k])
+                line = fh.readline()
+            return decode(line.decode())
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"{path}: record {k + 1}: {exc}") from exc
+
+    def snapshot(line):
+        rec = json.loads(line)
+        values = np.asarray(rec["values"], dtype=float).reshape(rec["shape"])
+        return float(rec["t"]), Field(grid, values)
+
+    with open(path, "rb") as fh:
+        starts, out = [], []  # a record per non-blank line
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            values = np.asarray(rec["values"], dtype=float).reshape(rec["shape"])
-            out.append((float(rec["t"]), Field(grid, values)))
-    return out
+            if not line.isspace():
+                out.append(parse(len(starts), snapshot if pick is None else _record_time, line))
+                starts.append(fh.tell() - len(line))
+        return out if pick is None else [parse(k, snapshot) for k in pick(np.array(out))]

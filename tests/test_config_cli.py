@@ -4,13 +4,16 @@ import json
 import os
 import re
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import replidyn as rd
+import replidyn.blowup as blowup_mod
 import replidyn.elliptic as elliptic_mod
 import replidyn.experiment as experiment_mod
+import replidyn.mesh as mesh_mod
 from replidyn.cli import build_parser, main
 from replidyn.config import (SWEEP_AXES, ConfigError, SweepSpec, config_to_text,
                              parse_config)
@@ -417,6 +420,88 @@ def test_cli_blowup_subcommand(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "blowup.csv").read_text()
     assert "t_max_estimate" in text and "blowup_set_fraction" in text
+
+
+FAST_BLOWUP = FAST_RUN.replace("init.mass = 0.5", "init.mass = 1.5")
+
+
+def _count_snapshot_decodes(monkeypatch) -> list:
+    """Record every full JSON decode the snapshot reader makes."""
+    decoded = []
+    monkeypatch.setattr(mesh_mod, "json", SimpleNamespace(
+        loads=lambda s: decoded.append(s) or json.loads(s), dumps=json.dumps))
+    return decoded
+
+
+def test_blowup_decodes_only_the_checkpoint_snapshots(tmp_path, monkeypatch, capsys):
+    cfg_path = _write_cfg(tmp_path, FAST_BLOWUP.replace(
+        "solver.snapshot_stride = 20", "solver.snapshot_stride = 1"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    records = (out / "snapshots.ndjson").read_text().splitlines()
+    assert len(records) > 30
+    decoded = _count_snapshot_decodes(monkeypatch)
+    assert main(["blowup", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson"),
+                 "--out", str(tmp_path / "blowup.csv")]) == 0
+    assert 3 <= len(decoded) <= len(blowup_mod.DEFAULT_CHECKPOINT_FRACTIONS)
+    assert decoded[-1].rstrip("\n") == records[-1]
+    assert "blowup_set_fraction" in (tmp_path / "blowup.csv").read_text()
+    assert (tmp_path / "blowup.csv").read_bytes() == (out / "blowup.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fixture", ["run_blowup", "run_deep"])
+def test_blowup_set_estimate_on_the_checkpoint_subset_is_the_full_estimate(fixture, request):
+    # each picked snapshot is the first nearest its checkpoint and the last is
+    # picked, so classifying only the picked ones changes nothing
+    snaps = request.getfixturevalue(fixture).snapshots
+    idx = blowup_mod.checkpoint_indices(np.array([t for t, _ in snaps]))
+    sub = [snaps[k] for k in idx]
+    assert len(snaps) > len(sub) >= 3
+    assert blowup_mod.checkpoint_indices(np.array([t for t, _ in sub])) == list(range(len(sub)))
+    full, part = rd.blowup_set_estimate(snaps), rd.blowup_set_estimate(sub)
+    assert part.blowup_set_fraction == full.blowup_set_fraction
+    assert part.core_min_growth == full.core_min_growth
+    assert part.checkpoint_times == full.checkpoint_times
+    assert part.growth_factors.tobytes() == full.growth_factors.tobytes()
+
+
+def test_verify_of_an_empty_snapshot_file_is_an_error(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, FAST_BLOWUP)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    empty = out / "empty.ndjson"
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(empty)]) == 1
+    assert f"{empty}: no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["blowup", "verify"])
+@pytest.mark.parametrize("damage", ["cut-short", "other-grid"])
+def test_snapshot_read_errors_name_the_file_and_record(command, damage, tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, FAST_BLOWUP)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    path = out / "snapshots.ndjson"
+    records = path.read_text().splitlines()
+    if damage == "cut-short":  # the last record, which blowup always decodes
+        records[-1] = records[-1][: len(records[-1]) // 2]
+        path.write_text("\n".join(records) + "\n")
+        expected = f"{path}: record {len(records)}: "
+    else:
+        cfg_path = _write_cfg(tmp_path, FAST_BLOWUP.replace("grid.n = 101", "grid.n = 51"),
+                              "other")
+        expected = "does not match grid (51,)"
+    capsys.readouterr()
+    code = main([command, "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search(rf"{re.escape(str(path))}: record \d+: ", captured.err)
+    assert expected in captured.err
 
 
 CONSTRUCTED_INIT = """

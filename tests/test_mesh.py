@@ -244,6 +244,77 @@ def test_snapshot_ndjson_roundtrip(tmp_path):
         assert np.array_equal(f0.values, f1.values)
 
 
+def _snapshot_file(tmp_path, count=6):
+    g = build_grid(2, [1.0, 1.0], [5, 7])
+    rng = np.random.default_rng(1)
+    snaps = [(0.1 * k, Field(g, rng.random(g.shape))) for k in range(count)]
+    path = tmp_path / "snaps.ndjson"
+    atomic_write_text(str(path), lambda fh: write_snapshots(fh, snaps))
+    return path, g
+
+
+@pytest.mark.parametrize("pick", [
+    lambda t: [0],
+    lambda t: [1, 4, 5],
+    lambda t: [5, 2],
+    lambda t: np.flatnonzero(t > 0.25),
+], ids=["first", "subset", "reversed", "by-time"])
+def test_picked_read_equals_the_full_read_restricted(pick, tmp_path):
+    path, g = _snapshot_file(tmp_path)
+    full = read_snapshots(path, g)
+    times = np.array([t for t, _ in full])
+    got = read_snapshots(path, g, pick=pick)
+    want = [full[k] for k in pick(times)]
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_empty_pick_decodes_nothing(tmp_path):
+    path, g = _snapshot_file(tmp_path)
+    assert read_snapshots(path, g, pick=lambda t: []) == []
+
+
+def test_record_without_a_leading_time_is_timed_by_a_full_decode(tmp_path):
+    path, g = _snapshot_file(tmp_path, count=2)
+    rec = json.loads(path.read_text().splitlines()[1])
+    moved = json.dumps({"shape": rec["shape"], "t": rec["t"], "values": rec["values"]})
+    with open(path, "a") as fh:
+        fh.write(moved + "\n")
+    seen = []
+    back = read_snapshots(path, g, pick=lambda t: seen.append(t) or [2])
+    assert seen[0].tolist() == [0.0, rec["t"], rec["t"]]
+    assert back[0][0] == rec["t"]
+    assert np.array_equal(back[0][1].values, np.reshape(rec["values"], g.shape))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"t": oops, "shape": [5, 7], "values": []}', "record 2: Expecting value"),
+    ('{"t": "soon", "shape": [5, 7], "values": ' + json.dumps([0.0] * 35) + "}",
+     "record 2: could not convert"),
+    ('{"t": 0.5, "shape": [5, 7], "values": [1.0,', "record 2: Expecting value"),
+    ('{"t": 0.5, "shape": [7, 5], "values": ' + json.dumps([0.0] * 35) + "}",
+     "record 2: field shape (7, 5) does not match grid (5, 7)"),
+], ids=["time-not-json", "time-not-a-number", "truncated-values", "shape-mismatch"])
+@pytest.mark.parametrize("picked", [False, True], ids=["full", "picked"])
+def test_read_errors_name_the_file_and_record(bad, message, picked, tmp_path):
+    path, g = _snapshot_file(tmp_path, count=1)
+    with open(path, "a") as fh:
+        fh.write(bad + "\n")
+    with pytest.raises(ValueError) as err:
+        read_snapshots(path, g, pick=(lambda t: [0, 1]) if picked else None)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_pick_past_the_last_record_names_it(tmp_path):
+    g = build_grid(2, [1.0, 1.0], [5, 7])
+    path = tmp_path / "empty.ndjson"
+    path.write_text("")
+    with pytest.raises(ValueError) as err:
+        read_snapshots(path, g, pick=lambda t: [0])
+    assert str(err.value) == f"{path}: record 1: list index out of range"
+
+
 SPECIAL_VALUES = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 2.0]
 
 
