@@ -9,7 +9,6 @@ consistency error.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
@@ -93,14 +92,14 @@ class Trace:
                      self.epsilon, self.omega_measure)
 
     def to_csv(self, fh) -> None:
-        """Write the trace to an open text file (csv-module rows, CRLF)."""
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        """Write the trace to an open text file in one join: comma-joined
+        reprs and counts in CRLF rows, the bytes csv.writer would write."""
         floats = [np.asarray(column, dtype=float).tolist()
                   for column in (self.t, self.dt, self.mass, self.energy,
                                  self.sup_norm, self.phi_norm, self.rho_value)]
-        floored = map(int, np.asarray(self.floored).tolist())
-        writer.writerows(zip(*(map(repr, column) for column in floats), floored))
+        floored = map(str, map(int, np.asarray(self.floored).tolist()))
+        rows = map(",".join, zip(*(map(repr, column) for column in floats), floored))
+        fh.write("\r\n".join([",".join(TRACE_COLUMNS), *rows, ""]))
 
     @classmethod
     def from_csv(cls, path, epsilon: float | None = None,

@@ -27,8 +27,8 @@ import scipy.sparse as sp
 
 # edge_differences, edge_means and trapezoid_weights are public but not listed:
 # __all__ names the entry points of the grid layer, which bench/tracer.py wraps
-# in one span per call, and a span inside every 1D energy evaluation would add
-# about 5 us to its 7.5 us.
+# in one span per call; a span per call of these inner pieces would add the
+# tracer's cost to a few microseconds of work.
 __all__ = [
     "Grid",
     "Field",
@@ -235,9 +235,14 @@ def dirichlet_energy(f: Field, boundary_value: float) -> float:
 def edge_energy(v: np.ndarray, grid: Grid) -> float:
     """:func:`dirichlet_energy` of full-grid values whose boundary nodes
     already hold the boundary value, as the time stepper's states do."""
-    if not np.isfinite(v).all():
+    total = 0
+    for (hi, lo), step in zip(_EDGE_ENDS[grid.dimension], grid.h):
+        g = v[hi] - v[lo]  # one axis of edge_differences, squared in place
+        g /= step
+        g *= g
+        total += g.sum()
+    if not math.isfinite(total):  # as is each edge difference at a non-finite node
         raise ValueError("cannot evaluate the energy of a non-finite field")
-    total = sum((g * g).sum() for g in edge_differences(v, grid))
     return float(total * math.prod(grid.h))
 
 

@@ -12,7 +12,10 @@ with boundary nodes pinned to eps and the result floored at eps.
 In 1D the semi-implicit system, multiplied through by diag(1/u^n), is
 tridiagonal and solved directly by LAPACK gtsv, called without a wrapper; it
 is the routine scipy.linalg.solve_banded runs for a tridiagonal band, so the
-solution is bitwise the same.  In 2D the same SPD system
+solution is bitwise the same.  A 1D step costs numpy calls more than
+arithmetic, so it makes few: the right-hand side is a fill plus two end
+entries, gtsv overwrites it and the diagonal, and run takes the sup norm
+from the step.  In 2D the same SPD system
 (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
 applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
 ordering) that the run holds across steps; CG stops at
@@ -125,6 +128,7 @@ class SolverState:
     rho_value: float
     floored: int = 0
     starved: bool = False
+    sup: float | None = None  # max of u, set by step for run; step never reads it
 
 
 @dataclass
@@ -160,22 +164,31 @@ class _Workspace:
         self.cg_iterations = 0
         if grid.dimension == 1:
             self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
+            self.h2 = grid.h[0] ** 2
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
         """Solve (diag(1/u) - dt*Lap) u_new = (1 + dt*f) + dt*eps*bc (SPD)."""
-        rhs = (1.0 + dt * f) + dt * eps * self.bc
-        inv_u = 1.0 / u_int
         if self.grid.dimension == 1:
+            # bc is zero but at the two end nodes, so rhs is 1 + dt*f elsewhere
+            c = 1.0 + dt * f
+            rhs = np.empty(self.n_interior)  # np.empty + fill beats np.full
+            rhs.fill(c)
+            rhs[0] = c + dt * eps * self.bc[0]
+            rhs[-1] = c + dt * eps * self.bc[-1]
+            diag = 1.0 / u_int
+            diag += 2.0 * dt / self.h2
             # gtsv would turn non-finite data into a NaN solution without error
-            if not np.isfinite(inv_u).all():
+            if not math.isfinite(diag.sum()):
                 raise ValueError("semi-implicit solve got non-finite data")
-            h2 = self.grid.h[0] ** 2
-            off = np.full(self.n_interior - 1, -dt * (1.0 / h2))
-            x, info = self.gtsv(off, inv_u + 2.0 * dt / h2, off, rhs)[3:]
+            off = np.empty(max(self.n_interior - 1, 1))  # gtsv's minimum length
+            off.fill(-dt * (1.0 / self.h2))
+            x, info = self.gtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)[3:]
             if info > 0:
                 raise LinAlgError("singular matrix")
             return x
+        rhs = (1.0 + dt * f) + dt * eps * self.bc
+        inv_u = 1.0 / u_int
         previous, self.previous = self.previous, (u_int, dt)
         if self.lu is not None:  # held factors come from earlier 2D solves
             u_prev, dt_prev = previous
@@ -234,9 +247,12 @@ def step(state: SolverState, params: SolverParams,
     dt = min(max(want, params.dt_min), remaining)
     new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
 
-    floored = np.count_nonzero(new_int < eps - 1e-15)
-    np.maximum(new_int, eps, out=new_int)  # the solve's output is a fresh array
-    u = np.full(state.u.shape, eps)
+    floored = 0
+    if not new_int.min() >= eps:  # else flooring would change nothing
+        floored = np.count_nonzero(new_int < eps - 1e-15)
+        np.maximum(new_int, eps, out=new_int)  # the solve's output is a fresh array
+    u = np.empty(state.u.shape)
+    u.fill(eps)
     u[workspace.interior] = new_int.reshape(workspace.interior_shape)
 
     # boundary nodes never move, so the interior decides the relative change;
@@ -252,7 +268,7 @@ def step(state: SolverState, params: SolverParams,
     energy = edge_energy(u, workspace.grid)
     return SolverState(t=state.t + dt, u=u, dt=next_dt, energy=energy,
                        rho_value=rho_eps(energy, eps), floored=floored,
-                       starved=starved)
+                       starved=starved, sup=max(float(new_int.max()), eps))
 
 
 def run(u0eps: Field, params: SolverParams,
@@ -275,16 +291,16 @@ def run(u0eps: Field, params: SolverParams,
     index, phi = torsion.positive_set
     e0 = dirichlet_energy(u0eps, eps)
     state = SolverState(t=0.0, u=u0eps.values.copy(), dt=params.dt_init, energy=e0,
-                        rho_value=rho_eps(e0, eps))
+                        rho_value=rho_eps(e0, eps), sup=float(np.max(u0eps.values)))
     rows = []
 
     # Each state's reductions are taken once, from its plain array: the mass
     # is the expression integrate() evaluates, the phi-norm the one
     # phi_weighted_sup() evaluates on u - eps, restricted to the positive set
-    # first.  The energy's finiteness check in step() covers every state, and
-    # a Field is built only for a snapshot.
+    # first, and the sup norm comes with the state.  The energy's finiteness
+    # check in step() covers every state; a Field is built only for a snapshot.
     def mass_and_sup(state: SolverState) -> tuple[float, float]:
-        return float((weights * state.u).sum()), float(state.u.max())
+        return float((weights * state.u).sum()), state.sup
 
     def record(state: SolverState, mass: float, sup: float) -> None:
         phi_norm = float(abs((state.u.take(index) - eps) / phi).max())

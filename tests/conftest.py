@@ -7,6 +7,7 @@ closed-form blow-up and decay times of torsion data are the oracle the runs
 are judged against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,27 @@ def run_deep(grid201, torsion201):
     the sup cap 1e4, so the growth identities hold all the way there."""
     u0 = rd.torsion_profile(grid201, 1.5, DEEP_EPS, torsion201)
     return rd.run(u0, deep_params(), torsion201)
+
+
+def continuum_torsion_constant(extents):
+    """C, the integral of the torsion function (-Lap phi = 1, phi = 0 on the
+    boundary) of the interval (0, a) or of the box (0, a) x (0, b): a^3 / 12,
+    and on the box the series solution
+    a^3 b / 12 - (16 a^4 / pi^5) sum_{k odd} tanh(k pi b / (2a)) / k^5,
+    summed until a term falls below 1e-17.  The PDE's own constant, where
+    C_h = integral of phi_h is the grid's."""
+    a, *rest = (float(e) for e in extents)
+    if not rest:
+        return a**3 / 12.0
+    b, = rest
+    series, k = 0.0, 1
+    while True:
+        term = math.tanh(k * math.pi * b / (2.0 * a)) / k**5
+        series += term
+        if term < 1e-17:
+            break
+        k += 2
+    return a**3 * b / 12.0 - 16.0 * a**4 / math.pi**5 * series
 
 
 def torsion_blowup_time(y0, c):

@@ -43,8 +43,8 @@ def test_criterion_1_subcritical_decay(run_decay):
 
 def test_criterion_1_critical_conservation(run_critical):
     # Measured on this run: the drift |y - 1| starts at 1.1e-16, grows at
-    # 11.75/s (mean E 12.00) from a normalized seed of 4.1e-13, crosses 1e-3
-    # at t = 1.83 and the run ends in BlowUp at t = 2.34.  Keeping |y - 1| <=
+    # 11.75/s (mean E 12.00) from a normalized seed of 3.29e-13, crosses 1e-3
+    # at t = 1.85 and the run ends in BlowUp at t = 2.36.  Keeping |y - 1| <=
     # 1e-3 up to t = 5 would need a seed below 1e-3 e^-59 ~ 3e-29, far below
     # double precision, so (a) bounds the seed instead and (b) asks that the
     # outcome follows the sign of the drift once it has grown past 1e-3.

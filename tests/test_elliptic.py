@@ -8,6 +8,8 @@ import replidyn as rd
 from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field, build_grid, dirichlet_laplacian
 
+from conftest import continuum_torsion_constant
+
 
 def square_torsion_center_series(terms=200):
     """Classical eigenfunction series for the unit-square torsion function,
@@ -40,6 +42,30 @@ def test_torsion_2d_center_matches_series():
     tor = rd.solve_torsion(g)
     center = tor.phi.values[32, 32]
     assert abs(center - square_torsion_center_series()) <= 5e-4
+
+
+def test_torsion_constant_converges_to_the_continuum_at_second_order():
+    # the series oracle: the unit square's constant, and a box's constant
+    # does not depend on which side the series runs along
+    assert continuum_torsion_constant([1.0, 1.0]) == pytest.approx(0.0351442537, abs=1e-10)
+    assert continuum_torsion_constant([1.0, 2.0]) == pytest.approx(
+        continuum_torsion_constant([2.0, 1.0]), rel=1e-13)
+    # 1D: the 3-point solve is exact at the nodes, so the trapezoid rule
+    # gives C_h = 1/12 - h^2/12 up to roundoff
+    g = build_grid(1, [1.0], [201])
+    h = g.h[0]
+    assert continuum_torsion_constant([1.0]) == 1.0 / 12.0
+    assert rd.solve_torsion(g).c_subdomain == pytest.approx(1.0 / 12.0 - h * h / 12.0,
+                                                            rel=1e-13, abs=0.0)
+    # 2D: C_h falls short of C by O(h^2) on the square and on a box with
+    # unequal sides (and unequal spacings)
+    for extents in ([1.0, 1.0], [1.0, 0.5]):
+        c = continuum_torsion_constant(extents)
+        errors = np.array([rd.solve_torsion(build_grid(2, extents, [n, n])).c_subdomain - c
+                           for n in (41, 81, 161)]) / c
+        assert np.all(errors < 0.0)
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.05), (extents, errors, orders)
 
 
 def test_torsion_positive_inside():

@@ -3,9 +3,12 @@
 import hashlib
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
@@ -113,6 +116,87 @@ def test_positivity_floor_and_boundary_pin(run_decay):
     assert np.min(run_decay.final.values) >= EPS - 1e-12
     grid = run_decay.final.grid
     assert np.max(np.abs(run_decay.final.values[grid.boundary_mask] - EPS)) == 0.0
+
+
+def _held_arrays(workspace):
+    """Every array a workspace holds: its attributes, the arrays in its
+    tuples, and the buffers of its sparse matrices."""
+    arrays = []
+    for value in vars(workspace).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                arrays.append(item)
+            elif sp.issparse(item):
+                arrays += [item.data, item.indices, item.indptr]
+    return arrays
+
+
+def _assert_fresh_floored_step(state, params, workspace):
+    """Take one step and check what the run and the snapshots rely on: the
+    input state is untouched, the new u is an array of its own, pinned to
+    eps on the boundary and floored at eps inside, and the new state's sup is
+    its maximum."""
+    grid, eps = workspace.grid, params.epsilon
+    before = state.u.copy()
+    new = step(state, params, workspace)
+    assert np.array_equal(state.u, before)
+    assert not np.shares_memory(new.u, state.u)
+    assert not any(np.shares_memory(new.u, a) for a in _held_arrays(workspace))
+    assert np.all(new.u[grid.boundary_mask] == eps)
+    assert np.all(new.u[grid.interior_mask] >= eps)
+    assert new.sup == new.u.max()
+    return new
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 201), (1, 3), (2, 21)])
+def test_step_returns_a_fresh_floored_state_and_leaves_its_input(dimension, n):
+    # in 2D the first step factors and the later ones run CG on the held
+    # factor from the extrapolated start, so both solve paths are covered;
+    # n = 3 leaves one interior node and no off-diagonal entry in 1D
+    grid = build_grid(dimension, [1.0] * dimension, [n] * dimension)
+    params = rd.SolverParams(epsilon=EPS, t_end=5.0)
+    state = make_state(rd.torsion_profile(grid, 1.5, EPS, rd.solve_torsion(grid)), params)
+    workspace = _Workspace(grid)
+    for _ in range(6):
+        state = _assert_fresh_floored_step(state, params, workspace)
+    if dimension == 2:
+        assert workspace.factorizations >= 1 and workspace.cg_iterations > 0
+
+
+@st.composite
+def positive_states(draw):
+    """A state of random positive interior data on a small 1D or 2D grid,
+    with eps on the boundary, and its step parameters."""
+    dimension = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(3, 40 if dimension == 1 else 9))
+    grid = build_grid(dimension, [1.0] * dimension, [n] * dimension)
+    u = np.full(grid.shape, EPS)
+    u[grid.interior_mask] = draw(hnp.arrays(float, int(grid.interior_mask.sum()),
+                                            elements=st.floats(EPS, 10.0)))
+    params = rd.SolverParams(epsilon=EPS, dt_init=draw(st.floats(1e-6, 0.05)),
+                             reaction_cap_c=0.5)
+    return grid, make_state(Field(grid, u), params), params
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=positive_states(), scheme=st.sampled_from([_Workspace, _ForwardEuler]))
+def test_step_floors_random_positive_data(case, scheme):
+    # the step counts exactly the solve's undershoots below eps and lifts
+    # them to eps; the semi-implicit solve stays above eps up to roundoff,
+    # and forward Euler past its CFL limit undershoots
+    grid, state, params = case
+    workspace = scheme(grid)
+    solve, raw = workspace.solve_semi_implicit, []
+
+    def recording(*args):
+        x = solve(*args)
+        raw.append(x.copy())
+        return x
+
+    workspace.solve_semi_implicit = recording
+    new = _assert_fresh_floored_step(state, params, workspace)
+    assert new.floored == np.count_nonzero(raw[0] < EPS - 1e-15)
+    assert np.array_equal(new.u[workspace.interior].ravel(), np.maximum(raw[0], EPS))
 
 
 def test_run_is_deterministic(grid201, torsion201):
