@@ -155,8 +155,14 @@ def _trapz_accum(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _match_rows(trace: Trace, times) -> np.ndarray:
-    """Nearest trace-row index for each snapshot time."""
-    return np.argmin(np.abs(trace.t - np.asarray(times)[:, None]), axis=1)
+    """Nearest trace-row index for each snapshot time, the earlier on a tie."""
+    t, times = trace.t, np.asarray(times, dtype=float)
+    rows = np.minimum(np.searchsorted(t, times), len(t) - 1)  # first row at or after
+    # step back while the earlier row is as near (more than once only where
+    # distances round alike, far outside the trace)
+    while (back := (rows > 0) & (abs(t[rows - 1] - times) <= abs(t[rows] - times))).any():
+        rows -= back
+    return rows
 
 
 def _row_sums(stack: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ extrapolation.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -268,10 +269,11 @@ def distance_to_boundary(grid: Grid) -> np.ndarray:
 
 def write_snapshots(fh, snapshots) -> None:
     """Write (t, Field) pairs to an open text file as NDJSON: one record per
-    snapshot with keys t (always first), shape, values (row-major)."""
+    snapshot with keys t (first), shape, values (base64 of row-major "<f8")."""
     for t, field in snapshots:
+        raw = np.ascontiguousarray(field.values, "<f8").tobytes()
         rec = {"t": float(t), "shape": list(field.grid.shape),
-               "values": field.values.ravel().tolist()}
+               "values": base64.b64encode(raw).decode("ascii")}
         fh.write(json.dumps(rec) + "\n")
 
 
@@ -286,10 +288,10 @@ def _record_time(line: str) -> float:
 
 
 def read_snapshots(path, grid: Grid, pick=None):
-    """Read NDJSON snapshots back as (t, Field) pairs on ``grid`` (shape
-    validated).  ``pick`` maps the array of every record's time to the
-    indices of the records to decode, reading only the time of the others, one
-    record's text at a time.  Errors name the file and 1-based record number."""
+    """Read NDJSON snapshots back as writable (t, Field) pairs on ``grid``
+    (size and shape validated).  ``pick`` maps the array of record times to
+    the indices of the records to decode, reading only the time of the others,
+    one record's text at a time.  Errors name the file and 1-based record."""
     def parse(k, decode, line=None):
         try:
             if line is None:
@@ -301,8 +303,15 @@ def read_snapshots(path, grid: Grid, pick=None):
 
     def snapshot(line):
         rec = json.loads(line)
-        values = np.asarray(rec["values"], dtype=float).reshape(rec["shape"])
-        return float(rec["t"]), Field(grid, values)
+        try:  # a JSON array or a string that is not base64 fails here
+            raw = base64.b64decode(rec["values"], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"values must be base64 of little-endian float64: {exc}") from exc
+        if len(raw) != 8 * math.prod(rec["shape"]):
+            raise ValueError(f"values hold {len(raw)} bytes, not 8 per node of shape "
+                             f"{rec['shape']} (base64 of little-endian float64)")
+        values = np.frombuffer(raw, "<f8").reshape(rec["shape"])
+        return float(rec["t"]), Field(grid, values.astype(float))
 
     with open(path, "rb") as fh:
         starts, out = [], []  # a record per non-blank line

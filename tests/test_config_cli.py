@@ -504,6 +504,28 @@ def test_snapshot_read_errors_name_the_file_and_record(command, damage, tmp_path
     assert expected in captured.err
 
 
+@pytest.mark.parametrize("command", ["blowup", "verify"])
+def test_snapshots_in_the_decimal_text_format_are_refused(command, tmp_path, capsys):
+    # a record whose values are a JSON array of decimals, the format written
+    # before the base64 payload, gives exit 1 and names the expected encoding
+    cfg_path = _write_cfg(tmp_path, FAST_BLOWUP)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    path = out / "snapshots.ndjson"
+    grid = rd.build_grid(1, [1.0], [101])
+    records = [json.dumps({"t": t, "shape": [101], "values": f.values.tolist()})
+               for t, f in rd.read_snapshots(path, grid)]
+    path.write_text("\n".join(records) + "\n")
+    capsys.readouterr()
+    code = main([command, "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search(rf"{re.escape(str(path))}: record \d+: values must be base64 of "
+                     r"little-endian float64", captured.err)
+
+
 CONSTRUCTED_INIT = """
 grid.n = 201
 init.profile = constructed

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import replidyn as rd
@@ -257,6 +257,33 @@ def test_trace_csv_roundtrip_is_exact(trace, tmp_path_factory):
     assert back.floored.tolist() == trace.floored.tolist()
     atomic_write_text(str(d / "b.csv"), back.to_csv)
     assert (d / "b.csv").read_bytes() == (d / "a.csv").read_bytes()
+
+
+@st.composite
+def trace_times_and_queries(draw):
+    # small integer times make exact midpoint ties common; arbitrary finite
+    # floats put queries far outside the trace, where distances round alike
+    values = st.one_of(st.integers(-50, 50).map(float), FINITE)
+    t = np.sort(np.array(draw(st.lists(values, min_size=1, max_size=30, unique=True))))
+    mids = (t[:-1] / 2 + t[1:] / 2).tolist() or t.tolist()
+    queries = draw(st.lists(st.one_of(st.sampled_from(t.tolist()), st.sampled_from(mids),
+                                      values), min_size=1, max_size=20))
+    return t, np.array(queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=trace_times_and_queries())
+@example(case=(np.array([0.5]), np.array([-1.0, 0.5, 7.0])))  # a one-row trace
+@example(case=(np.array([0.0, 1.0, 2.0]),  # midpoint ties; 1e20 is as far from every row
+                np.array([0.5, 1.5, -0.5, 2.5, 1e20])))
+def test_match_rows_picks_the_rows_argmin_picks(case):
+    # the oracle is the (S, N) argmin: the nearest row, the earliest on a tie
+    t, queries = case
+    trace = synthetic_trace(t, np.ones(len(t)), np.ones(len(t)))
+    with np.errstate(over="ignore"):  # distances between the largest doubles
+        want = np.argmin(np.abs(t - queries[:, None]), axis=1)
+        got = diag._match_rows(trace, queries)
+    assert got.tolist() == want.tolist()
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\r\n"

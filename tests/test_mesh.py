@@ -1,10 +1,15 @@
 """Grid construction, quadrature, stencils, and their consistency orders."""
 
+import base64
 import io
 import json
+import struct
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replidyn.experiment import atomic_write_text
 from replidyn.mesh import (Field, build_grid, dirichlet_energy, dirichlet_laplacian,
@@ -285,15 +290,23 @@ def test_record_without_a_leading_time_is_timed_by_a_full_decode(tmp_path):
     back = read_snapshots(path, g, pick=lambda t: seen.append(t) or [2])
     assert seen[0].tolist() == [0.0, rec["t"], rec["t"]]
     assert back[0][0] == rec["t"]
-    assert np.array_equal(back[0][1].values, np.reshape(rec["values"], g.shape))
+    payload = np.frombuffer(base64.b64decode(rec["values"]), "<f8")
+    assert np.array_equal(back[0][1].values, payload.reshape(g.shape))
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+ZEROS_35 = json.dumps(_b64([0.0] * 35))
 
 
 @pytest.mark.parametrize("bad, message", [
     ('{"t": oops, "shape": [5, 7], "values": []}', "record 2: Expecting value"),
-    ('{"t": "soon", "shape": [5, 7], "values": ' + json.dumps([0.0] * 35) + "}",
+    ('{"t": "soon", "shape": [5, 7], "values": ' + ZEROS_35 + "}",
      "record 2: could not convert"),
     ('{"t": 0.5, "shape": [5, 7], "values": [1.0,', "record 2: Expecting value"),
-    ('{"t": 0.5, "shape": [7, 5], "values": ' + json.dumps([0.0] * 35) + "}",
+    ('{"t": 0.5, "shape": [7, 5], "values": ' + ZEROS_35 + "}",
      "record 2: field shape (7, 5) does not match grid (5, 7)"),
 ], ids=["time-not-json", "time-not-a-number", "truncated-values", "shape-mismatch"])
 @pytest.mark.parametrize("picked", [False, True], ids=["full", "picked"])
@@ -304,6 +317,27 @@ def test_read_errors_name_the_file_and_record(bad, message, picked, tmp_path):
     with pytest.raises(ValueError) as err:
         read_snapshots(path, g, pick=(lambda t: [0, 1]) if picked else None)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("values, message", [
+    (json.dumps([0.0] * 35), "values must be base64 of little-endian float64: "),
+    (json.dumps(_b64([0.0] * 18) + "*" + _b64([0.0] * 17)),  # base64 once "*" is dropped
+     "values must be base64 of little-endian float64: "),
+    (json.dumps(_b64([0.0] * 34)),
+     "values hold 272 bytes, not 8 per node of shape [5, 7] "
+     "(base64 of little-endian float64)"),
+    (json.dumps(base64.b64encode(bytes(279)).decode()),
+     "values hold 279 bytes, not 8 per node of shape [5, 7]"),
+], ids=["json-array", "not-base64", "too-few-values", "partial-double"])
+@pytest.mark.parametrize("picked", [False, True], ids=["full", "picked"])
+def test_bad_payloads_are_refused_naming_the_encoding(values, message, picked, tmp_path):
+    # a json-array payload is a record of the old decimal-text format
+    path, g = _snapshot_file(tmp_path, count=1)
+    with open(path, "a") as fh:
+        fh.write('{"t": 0.5, "shape": [5, 7], "values": ' + values + "}\n")
+    with pytest.raises(ValueError) as err:
+        read_snapshots(path, g, pick=(lambda t: [0, 1]) if picked else None)
+    assert str(err.value).startswith(f"{path}: record 2: {message}")
 
 
 def test_pick_past_the_last_record_names_it(tmp_path):
@@ -318,19 +352,63 @@ def test_pick_past_the_last_record_names_it(tmp_path):
 SPECIAL_VALUES = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 2.0]
 
 
-def test_write_snapshots_bytes_equal_the_per_element_rendering():
-    # the writer dumps whole arrays; it must print every value as the
-    # per-element float() rendering it replaced did, subnormals and -0.0 too
+def test_write_snapshots_bytes_equal_the_per_element_rendering(tmp_path):
+    # the writer encodes whole arrays; its payload must be the per-element
+    # little-endian float64 bytes, subnormals and -0.0 too, read back bit-exact
     g = build_grid(2, [1.0, 1.0], [3, 4])
     values = np.array(SPECIAL_VALUES * 2).reshape(g.shape)
     snaps = [(0.0, Field(g, values)), (1.0 / 3.0, Field(g, -values[::-1]))]
     fh = io.StringIO()
     write_snapshots(fh, snaps)
     expected = "".join(
-        json.dumps({"t": float(t), "shape": list(f.grid.shape),
-                    "values": [float(x) for x in f.values.ravel()]}) + "\n"
+        json.dumps({"t": float(t), "shape": list(f.grid.shape), "values": base64.b64encode(
+            b"".join(struct.pack("<d", x) for x in f.values.ravel())).decode()}) + "\n"
         for t, f in snaps)
     assert fh.getvalue() == expected
     assert fh.getvalue().startswith(
-        '{"t": 0.0, "shape": [3, 4], "values": [0.1, 0.3333333333333333, '
-        '5e-324, 1e+300, -0.0, 2.0, 0.1,')
+        '{"t": 0.0, "shape": [3, 4], "values": "mpmZmZmZuT9VVVVVVVXVPwEAAAAAAAAA'
+        'nHUAiDzkN34AAAAAAAAAgAAAAAAAAABAmpmZmZmZuT9')
+    path = tmp_path / "snaps.ndjson"
+    path.write_text(fh.getvalue())
+    back = read_snapshots(path, g)
+    assert [t for t, _ in back] == [t for t, _ in snaps]
+    for (_, a), (_, b) in zip(back, snaps):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+# subnormals, both zeros and the largest finite doubles, besides any finite
+FLOAT64 = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def snapshot_series(draw):
+    dimension = draw(st.sampled_from([1, 2]))
+    n = draw(st.lists(st.integers(3, 9), min_size=dimension, max_size=dimension))
+    g = build_grid(dimension, [1.0] * dimension, n)
+    count = draw(st.integers(1, 5))
+    fields = hnp.arrays(np.float64, g.shape, elements=FLOAT64)
+    snaps = [(draw(FLOAT64), Field(g, draw(fields))) for _ in range(count)]
+    return g, snaps, draw(st.lists(st.integers(0, count - 1), max_size=count))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=snapshot_series())
+def test_snapshot_roundtrip_is_bit_exact(case, tmp_path_factory):
+    g, snaps, pick = case
+    path = tmp_path_factory.mktemp("snaps") / "snaps.ndjson"
+    atomic_write_text(str(path), lambda fh: write_snapshots(fh, snaps))
+    full = read_snapshots(path, g)
+    assert [np.float64(t).tobytes() for t, _ in full] == [
+        np.float64(t).tobytes() for t, _ in snaps]
+    for (_, a), (_, b) in zip(full, snaps):
+        assert a.values.flags.writeable and a.values.tobytes() == b.values.tobytes()
+    seen = []
+    picked = read_snapshots(path, g, pick=lambda t: seen.append(t) or pick)
+    assert seen[0].tobytes() == np.array([t for t, _ in full]).tobytes()
+    assert len(picked) == len(pick)
+    for (ta, a), k in zip(picked, pick):
+        assert np.float64(ta).tobytes() == np.float64(full[k][0]).tobytes()
+        assert a.values.tobytes() == full[k][1].values.tobytes()
