@@ -30,7 +30,7 @@ bound = blowup.poincare_blowup_bound(1.5, c_p, grid.volume)
 print(f"Poincare upper bound on the blow-up time: {bound:.4f} "
       f"(estimate below it: {t_max <= bound})")
 
-report = blowup.blowup_set_estimate(result.snapshots, growth_threshold=10.0)
+report = blowup.blowup_set_estimate(result.snapshots)
 print(f"fraction of interior nodes blowing up: {report.blowup_set_fraction:.4f}")
 print(f"minimum growth factor over the margin-0.25 core: "
       f"{report.core_min_growth[0.25]:.1f}")

@@ -17,7 +17,7 @@ from .blowup import (BlowupReport, blowup_set_estimate, estimate_tmax,
 from .config import ConfigError, ExperimentConfig, SweepSpec, parse_config
 from .diagnostics import (Trace, boundary_concentration, gradient_bound_check,
                           h_identity_check, mass_ode_residual,
-                          phi_norm_bound_check, weak_form_residual)
+                          phi_norm_bound_check)
 from .elliptic import (TorsionSolution, measure_poincare_constant,
                        phi_weighted_sup, solve_torsion, solve_torsion_subdomain)
 from .experiment import run_experiment, run_sweep
@@ -28,7 +28,7 @@ from .mesh import (Field, Grid, build_grid, dirichlet_energy, gradient_inner,
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
                          kernel_laplacian_consistency, payoff_matrix_from_kernel,
                          replicator_rhs)
-from .solver import (SimulationResult, SolverParams, SolverState,
-                     comparison_upper_bound, rho_eps, run, step)
+from .solver import (SimulationResult, SolverParams, SolverState, rho_eps, run,
+                     step)
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import numpy as np
 
 from .diagnostics import Trace
 from .elliptic import measure_poincare_constant
+from .mesh import distance_to_boundary
 
 __all__ = [
     "BlowupReport",
@@ -27,8 +28,14 @@ __all__ = [
     "blowup_metrics",
 ]
 
-DEFAULT_CHECKPOINT_FRACTIONS = (0.5, 0.7, 0.85, 0.95, 1.0)
-DEFAULT_GROWTH_THRESHOLD = 10.0
+# estimate_tmax needs this many usable rows; blowup_set_estimate compares the
+# snapshots nearest these fractions of the last snapshot time, counts a node
+# as blowing up once it has grown by GROWTH_THRESHOLD, and reports the least
+# growth over the nodes at least CORE_MARGIN from the boundary.
+MIN_TMAX_ROWS = 10
+CHECKPOINT_FRACTIONS = (0.5, 0.7, 0.85, 0.95, 1.0)
+GROWTH_THRESHOLD = 10.0
+CORE_MARGIN = 0.25
 
 
 @dataclass
@@ -39,7 +46,7 @@ class BlowupReport:
     growth_factors: np.ndarray
 
 
-def estimate_tmax(trace: Trace, min_rows: int = 10):
+def estimate_tmax(trace: Trace):
     """The singular time T_row = t + kappa [ln(y/(y-1)) - 1/y], kappa = y^2/E,
     at the last usable row.
 
@@ -50,11 +57,10 @@ def estimate_tmax(trace: Trace, min_rows: int = 10):
     y = trace.corrected_mass
     usable = (y > 1.0) & ~trace.saturated()
     n_usable = int(usable.sum())
-    if n_usable < min_rows:
-        raise ValueError(
-            f"need at least {min_rows} supercritical unsaturated rows, got {n_usable}"
-        )
-    k = max(min_rows, n_usable // 4)
+    if n_usable < MIN_TMAX_ROWS:
+        raise ValueError(f"need at least {MIN_TMAX_ROWS} supercritical "
+                         f"unsaturated rows, got {n_usable}")
+    k = max(MIN_TMAX_ROWS, n_usable // 4)
     t, y, energy = (a[usable][-k:] for a in (trace.t, y, trace.energy))
     if y[-1] <= y[0]:
         raise ValueError("no blow-up signature: y - 1 does not grow over the tail")
@@ -62,28 +68,25 @@ def estimate_tmax(trace: Trace, min_rows: int = 10):
     return float(t_row[-1]), float(np.ptp(t_row) / t_row[-1])
 
 
-def checkpoint_indices(times, checkpoints=None) -> list[int]:
-    """Sorted distinct indices of the first time nearest each checkpoint (by default
-    DEFAULT_CHECKPOINT_FRACTIONS of the last time); on its own picks it keeps them all."""
-    if checkpoints is None:
-        checkpoints = [f * t for t in times[-1:] for f in DEFAULT_CHECKPOINT_FRACTIONS]
+def checkpoint_indices(times) -> list[int]:
+    """Sorted distinct indices of the first time nearest each checkpoint, the
+    CHECKPOINT_FRACTIONS of the last time; on its own picks it keeps them all."""
+    checkpoints = [f * t for t in times[-1:] for f in CHECKPOINT_FRACTIONS]
     return sorted({int(np.argmin(np.abs(times - c))) for c in checkpoints})
 
 
-def blowup_set_estimate(snapshots, checkpoints=None,
-                        growth_threshold: float = DEFAULT_GROWTH_THRESHOLD,
-                        core_margins=(0.25,)) -> BlowupReport:
+def blowup_set_estimate(snapshots) -> BlowupReport:
     """Classify interior nodes by their growth along checkpoint times.
 
     A node blows up when its value is increasing over the final checkpoints
-    and its total growth factor reaches ``growth_threshold``.  Also reports
-    the minimum growth factor over concentric core boxes (global blow-up
-    means the fraction is ~1 and core growth is large for every margin).
+    and its total growth factor reaches GROWTH_THRESHOLD.  Also reports the
+    minimum growth factor over the core box CORE_MARGIN inside the boundary
+    (global blow-up means the fraction is ~1 and core growth is large).
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots to classify blow-up")
     times = np.array([t for t, _ in snapshots])
-    idx = checkpoint_indices(times, checkpoints)
+    idx = checkpoint_indices(times)
     if len(idx) < 3:
         raise ValueError("checkpoints collapse onto fewer than 3 distinct snapshots")
 
@@ -98,16 +101,11 @@ def blowup_set_estimate(snapshots, checkpoints=None,
     increasing = np.ones(grid.shape, dtype=bool)
     for a, b in zip(tail, tail[1:]):
         increasing &= b > a
-    blowing = increasing & (final_growth >= growth_threshold)
+    blowing = increasing & (final_growth >= GROWTH_THRESHOLD)
     fraction = float(blowing[interior].sum() / interior.sum())
 
-    from .mesh import distance_to_boundary
-    dist = distance_to_boundary(grid)
-    core_min = {}
-    for margin in core_margins:
-        core = dist >= margin - 1e-12
-        if core.any():
-            core_min[margin] = float(final_growth[core].min())
+    core = distance_to_boundary(grid) >= CORE_MARGIN - 1e-12
+    core_min = {CORE_MARGIN: float(final_growth[core].min())} if core.any() else {}
 
     return BlowupReport(
         blowup_set_fraction=fraction, core_min_growth=core_min,

@@ -83,7 +83,7 @@ def _cmd_verify(args) -> int:
     u0eps = snapshots[0][1]
 
     checks = args.checks.split(",") if args.checks else None
-    rows, ok = diagnostics_rows(cfg, trace, snapshots, sup_cap, grid, u0eps,
+    rows, ok = diagnostics_rows(cfg, trace, snapshots, sup_cap, u0eps,
                                 checks=checks)
     text = csv_text(DIAGNOSTICS_HEADER, rows)
     if args.out:

@@ -13,10 +13,11 @@ not mentioned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "ExperimentConfig", "SweepSpec", "parse_config",
-           "SWEEP_AXES", "config_to_text"]
+           "SWEEP_AXES"]
 
 
 class ConfigError(ValueError):
@@ -138,6 +139,10 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     def ln(key):
         return lines.get(key)
 
+    for key, (kind, _) in _SCHEMA.items():
+        floats = {"float": [v[key]], "floats": v[key]}.get(kind, [])
+        if not all(map(math.isfinite, floats)):
+            _fail(key, f"must be finite, got {v[key]}", ln(key))
     dim = v["grid.dimension"]
     if dim not in (1, 2):
         _fail("grid.dimension", f"must be 1 or 2, got {dim}", ln("grid.dimension"))
@@ -204,18 +209,3 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(values)
     _validate(cfg, lines_seen)
     return cfg
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Serialize back to the flat format (stable key order)."""
-    out = []
-    for key in _SCHEMA:
-        val = cfg.values[key]
-        if isinstance(val, list):
-            rendered = " ".join(repr(x) if isinstance(x, float) else str(x) for x in val)
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
-            rendered = str(val)
-        out.append(f"{key} = {rendered}")
-    return "\n".join(out) + "\n"

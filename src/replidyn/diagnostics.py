@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mesh
 from .elliptic import TorsionSolution
-from .mesh import Field, dirichlet_energy, integrate
+from .mesh import Field
 
 __all__ = [
     "Trace",
@@ -26,9 +26,6 @@ __all__ = [
     "gradient_bound_check",
     "boundary_concentration",
     "phi_norm_bound_check",
-    "weak_form_residual",
-    "torsion_rate_check",
-    "time_weighted_median",
 ]
 
 TRACE_COLUMNS = ["t", "dt", "mass", "dirichlet_energy", "sup_norm",
@@ -56,8 +53,9 @@ class Trace:
     omega_measure: float | None = None
 
     def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("trace times must be strictly increasing")
+        # a NaN compares false either way, so finiteness is checked first
+        if not (np.isfinite(self.t).all() and np.all(np.diff(self.t) > 0)):
+            raise ValueError("trace times must be finite and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -78,12 +76,9 @@ class Trace:
             return np.zeros(len(self), dtype=bool)
         return self.rho_value >= (1.0 / self.epsilon) * (1.0 - 1e-9)
 
-    def precap_mask(self, sup_cap: float | None = None, frac: float = 0.5) -> np.ndarray:
-        """Rows before saturation and (optionally) below frac * sup_cap."""
-        ok = ~self.saturated()
-        if sup_cap is not None:
-            ok &= self.sup_norm < frac * sup_cap
-        return ok
+    def precap_mask(self, sup_cap: float) -> np.ndarray:
+        """Rows before saturation and below half the blow-up cap ``sup_cap``."""
+        return ~self.saturated() & (self.sup_norm < 0.5 * sup_cap)
 
     def sliced(self, mask: np.ndarray) -> "Trace":
         return Trace(self.t[mask], self.dt[mask], self.mass[mask],
@@ -278,97 +273,3 @@ def phi_norm_bound_check(trace: Trace, tol: float = 0.05) -> np.ndarray:
     run_max_e = np.maximum.accumulate(trace.energy)
     bound = np.maximum(trace.phi_norm[0], run_max_e)
     return trace.phi_norm <= bound * (1.0 + tol) + 1e-12
-
-
-def weak_form_residual(snapshots, test_fn, test_fn_dt, epsilon: float,
-                       t_support: tuple[float, float] | None = None) -> float:
-    """Normalized defect of the weak formulation on the lifted field u - eps.
-
-    ``test_fn(t)`` and ``test_fn_dt(t)`` return the test function and its time
-    derivative as Fields; it must vanish near the spatial boundary and at the
-    final snapshot time.  Integrals are trapezoid in time over the snapshots.
-    Returns |LHS - RHS| normalized by the largest term magnitude.
-    """
-    times = np.array([t for t, _ in snapshots])
-    grid = snapshots[0][1].grid
-    adj = mesh.distance_to_boundary(grid) <= 1.5 * max(grid.h)
-
-    if t_support is not None:
-        lo, hi = t_support
-        if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12:
-            raise ValueError("test function time support exceeds the run horizon")
-    final_test = test_fn(times[-1])
-    if float(np.max(np.abs(final_test.values))) > 1e-12:
-        raise ValueError("test function must vanish at the final time")
-
-    mass_term = []     # ∫ (u-eps) d/dt(test)
-    grad_term = []     # ∫ grad(u-eps) . grad((u-eps) test)
-    nonlocal_term = []  # ( ∫ (u-eps) test ) * E
-    for t, f in snapshots:
-        test = test_fn(t)
-        test_dt = test_fn_dt(t)
-        if float(np.max(np.abs(test.values[adj]))) > 1e-12:
-            raise ValueError("test function must vanish on a boundary collar")
-        v = f.values - epsilon
-        vfield = Field(grid, v)
-        mass_term.append(integrate(Field(grid, v * test_dt.values)))
-        product = Field(grid, v * test.values)
-        grad_term.append(mesh.gradient_inner(vfield, product, 0.0, 0.0))
-        e_val = dirichlet_energy(f, epsilon)
-        nonlocal_term.append(integrate(Field(grid, v * test.values)) * e_val)
-
-    def trapz(series):
-        return float(_trapz_accum(np.asarray(series), times)[-1])
-
-    term_dt = -trapz(mass_term)
-    term_grad = trapz(grad_term)
-    term_init = integrate(Field(grid, (snapshots[0][1].values - epsilon)
-                                * test_fn(times[0]).values))
-    term_nonlocal = trapz(nonlocal_term)
-
-    residual = abs(term_dt + term_grad - term_init - term_nonlocal)
-    scale = max(abs(term_dt), abs(term_grad), abs(term_init), abs(term_nonlocal))
-    if scale == 0.0:
-        return 0.0
-    return residual / scale
-
-
-def torsion_rate_check(trace: Trace, c: float, slack: float = 0.05) -> bool:
-    """The sharp mass rate  y' / ((y - 1) y^2 / C) >= 1 - slack  on unsaturated
-    interior rows, for either sign of y - 1, with y' the central difference.
-
-    Summation by parts and Cauchy-Schwarz give E >= y^2 / C, with C the
-    integral of the torsion function and equality for torsion data, so the
-    mass law y' = (y - 1) E puts this ratio at or above 1: mass above one
-    grows, and mass below one decays, at least as fast as for torsion data.
-    The canonical 1D runs (n=201, reaction_cap_c 0.015) fall short of 1 by
-    their first-order time error: ratios 0.978-0.997 at mass 1.5 and
-    0.987-1.038 at mass 0.5.  The default slack 0.05 admits that 2.2% with
-    room, while a constant 5% too small scales every ratio by 0.95 (down to
-    0.929 and 0.938) and fails.
-    """
-    y = trace.corrected_mass
-    dy = (y[2:] - y[:-2]) / (trace.t[2:] - trace.t[:-2])
-    unsat = ~trace.saturated()
-    keep = unsat[1:-1] & unsat[2:] & unsat[:-2]
-    if not keep.any():
-        raise ValueError("rate check needs three consecutive unsaturated rows")
-    yk = y[1:-1][keep]
-    return bool(np.all(dy[keep] * c / ((yk - 1.0) * yk**2) >= 1.0 - slack))
-
-
-def time_weighted_median(values: np.ndarray, times: np.ndarray) -> float:
-    """Median of a sampled time series under the time measure (each row
-    weighted by the interval it represents), not the row count."""
-    if len(values) != len(times) or len(values) == 0:
-        raise ValueError("values and times must be equal-length and nonempty")
-    if len(values) == 1:
-        return float(values[0])
-    w = np.zeros(len(times))
-    dt = np.diff(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    order = np.argsort(values)
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(values[order][min(idx, len(values) - 1)])

@@ -53,8 +53,8 @@ BOUND_SLACK = 0.1
 CONCENTRATION_Q = 0.5
 
 
-def output_root(default: str = ".") -> str:
-    return os.environ.get("REPLIDYN_OUT", default)
+def output_root() -> str:
+    return os.environ.get("REPLIDYN_OUT", ".")
 
 
 def atomic_write_text(path: str, content) -> None:
@@ -115,7 +115,7 @@ def build_initial_data(cfg: ExperimentConfig, grid, torsion):
 
 
 def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
-                     grid, u0eps, checks=None):
+                     u0eps, checks=None):
     """Evaluate the estimate checks; returns (rows, all_passed).
 
     Rows follow the verify CSV contract (DIAGNOSTICS_HEADER): check, t,
@@ -162,7 +162,7 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
 
     margin = cfg["diagnostics.margin"]
     if "gradient_bound" in checks:
-        sub = solve_torsion_subdomain(grid, margin)
+        sub = solve_torsion_subdomain(u0eps.grid, margin)
         keep = [(t, f) for (t, f) in snapshots
                 if float(np.max(f.values)) < 0.5 * sup_cap]
         if len(keep) >= 2:
@@ -221,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
                 exit_code = EXIT_CHECK_FAILED
 
         rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
-                                    result.sup_cap, grid, u0eps)
+                                    result.sup_cap, u0eps)
         atomic_write_text(os.path.join(out_dir, "diagnostics.csv"),
                           csv_text(DIAGNOSTICS_HEADER, rows))
         summary["diagnostics_passed"] = ok

@@ -247,13 +247,13 @@ def edge_energy(v: np.ndarray, grid: Grid) -> float:
     return float(total * math.prod(grid.h))
 
 
-def gradient_inner(f: Field, g: Field, bv_f: float = 0.0, bv_g: float = 0.0) -> float:
+def gradient_inner(f: Field, g: Field) -> float:
     """Integral of grad f . grad g with the same edge sum as
-    :func:`dirichlet_energy`."""
+    :func:`dirichlet_energy`, both fields taken as zero on the boundary."""
     if f.grid is not g.grid and f.grid.shape != g.grid.shape:
         raise ValueError("fields live on different grids")
-    gf = edge_differences(_with_boundary(f, bv_f), f.grid)
-    gg = edge_differences(_with_boundary(g, bv_g), f.grid)
+    gf = edge_differences(_with_boundary(f, 0.0), f.grid)
+    gg = edge_differences(_with_boundary(g, 0.0), f.grid)
     total = sum(np.sum(a * b) for a, b in zip(gf, gg))
     return float(total * math.prod(f.grid.h))
 

@@ -67,7 +67,6 @@ __all__ = [
     "rho_eps",
     "step",
     "run",
-    "comparison_upper_bound",
 ]
 
 # The 2D semi-implicit solve: conjugate gradients stop at this residual
@@ -137,9 +136,7 @@ class SimulationResult:
     t_last: float
     trace: Trace
     snapshots: list
-    params: SolverParams
     sup_cap: float
-    final: Field
     max_floored_fraction: float
     floor_flagged: bool
     steps: int
@@ -353,22 +350,10 @@ def run(u0eps: Field, params: SolverParams,
     max_floor_frac = max_floored / max(workspace.n_interior, 1)
     return SimulationResult(
         outcome=outcome, t_last=state.t, trace=trace, snapshots=snapshots,
-        params=params, sup_cap=sup_cap, final=snapshots[-1][1],
+        sup_cap=sup_cap,
         max_floored_fraction=max_floor_frac,
         floor_flagged=max_floor_frac > 1e-3,
         steps=step_index,
         factorizations=workspace.factorizations,
         cg_iterations=workspace.cg_iterations,
     )
-
-
-def comparison_upper_bound(m_bound: float, b_bound: float,
-                           torsion: TorsionSolution) -> float:
-    """A-priori sup bound e^(B+1) * (M + max Phi) valid whenever the initial
-    data is below M and the space-time energy integral is below B."""
-    if m_bound <= 0:
-        raise ValueError("M must be positive")
-    if b_bound < 0:
-        raise ValueError("B must be nonnegative")
-    with np.errstate(over="ignore"):
-        return float(np.exp(b_bound + 1.0) * (m_bound + torsion.max_phi))

@@ -4,7 +4,9 @@ The three mass-trichotomy runs (epsilon 1e-3) and the deep blow-up run
 (epsilon 1e-9, where the capped nonlocal coefficient never saturates below
 the blow-up cap) are expensive enough to share across test modules.  The
 closed-form blow-up and decay times of torsion data are the oracle the runs
-are judged against.
+are judged against.  The oracles that only the tests apply live here too:
+the weak-form residual, the sharp mass-rate check, the time-weighted median,
+the a-priori comparison bound on the sup norm, and the config serializer.
 """
 
 import math
@@ -14,7 +16,12 @@ import numpy as np
 import pytest
 
 import replidyn as rd
+from replidyn import config
 from replidyn import diagnostics as diag
+from replidyn import mesh
+from replidyn.diagnostics import Trace, _trapz_accum
+from replidyn.elliptic import TorsionSolution
+from replidyn.mesh import Field, dirichlet_energy, integrate
 
 EPS = 1e-3
 DEEP_EPS = 1e-9
@@ -22,6 +29,8 @@ DEEP_EPS = 1e-9
 # and the largest roundoff seed max |y - 1| exp(-int_0^t E) accepted before that
 DRIFT_TOL = 1e-3
 ROUNDOFF_SEED = 1e-11
+# torsion_rate_check: the shortfall of the mass-rate ratio below 1 admitted
+RATE_SLACK = 0.05
 
 
 @pytest.fixture(scope="session")
@@ -115,9 +124,9 @@ def torsion_decay_time(y0, y1, c):
     return f(y1) - f(y0)
 
 
-def precap_trace(result, frac=0.5):
+def precap_trace(result):
     trace = result.trace
-    mask = trace.precap_mask(result.sup_cap, frac=frac)
+    mask = trace.precap_mask(result.sup_cap)
     return trace.sliced(mask) if int(mask.sum()) >= 3 else trace
 
 
@@ -168,3 +177,120 @@ def critical_drift(result) -> CriticalDrift:
     t_cross, sign = ((float(t[k]), int(np.sign(dev[k]))) if over.size
                      else (float("nan"), 0))
     return CriticalDrift(seed, t_cross, sign, growth, mean_e)
+
+
+def weak_form_residual(snapshots, test_fn, test_fn_dt, epsilon: float) -> float:
+    """Normalized defect of the weak formulation on the lifted field u - eps.
+
+    ``test_fn(t)`` and ``test_fn_dt(t)`` return the test function and its time
+    derivative as Fields; it must vanish near the spatial boundary and at the
+    final snapshot time.  Integrals are trapezoid in time over the snapshots.
+    Returns |LHS - RHS| normalized by the largest term magnitude.
+    """
+    times = np.array([t for t, _ in snapshots])
+    grid = snapshots[0][1].grid
+    adj = mesh.distance_to_boundary(grid) <= 1.5 * max(grid.h)
+
+    final_test = test_fn(times[-1])
+    if float(np.max(np.abs(final_test.values))) > 1e-12:
+        raise ValueError("test function must vanish at the final time")
+
+    mass_term = []     # ∫ (u-eps) d/dt(test)
+    grad_term = []     # ∫ grad(u-eps) . grad((u-eps) test)
+    nonlocal_term = []  # ( ∫ (u-eps) test ) * E
+    for t, f in snapshots:
+        test = test_fn(t)
+        test_dt = test_fn_dt(t)
+        if float(np.max(np.abs(test.values[adj]))) > 1e-12:
+            raise ValueError("test function must vanish on a boundary collar")
+        v = f.values - epsilon
+        vfield = Field(grid, v)
+        mass_term.append(integrate(Field(grid, v * test_dt.values)))
+        product = Field(grid, v * test.values)
+        grad_term.append(mesh.gradient_inner(vfield, product))
+        e_val = dirichlet_energy(f, epsilon)
+        nonlocal_term.append(integrate(Field(grid, v * test.values)) * e_val)
+
+    def trapz(series):
+        return float(_trapz_accum(np.asarray(series), times)[-1])
+
+    term_dt = -trapz(mass_term)
+    term_grad = trapz(grad_term)
+    term_init = integrate(Field(grid, (snapshots[0][1].values - epsilon)
+                                * test_fn(times[0]).values))
+    term_nonlocal = trapz(nonlocal_term)
+
+    residual = abs(term_dt + term_grad - term_init - term_nonlocal)
+    scale = max(abs(term_dt), abs(term_grad), abs(term_init), abs(term_nonlocal))
+    if scale == 0.0:
+        return 0.0
+    return residual / scale
+
+
+def torsion_rate_check(trace: Trace, c: float) -> bool:
+    """The sharp mass rate  y' / ((y - 1) y^2 / C) >= 1 - RATE_SLACK  on
+    unsaturated interior rows, for either sign of y - 1, with y' the central
+    difference.
+
+    Summation by parts and Cauchy-Schwarz give E >= y^2 / C, with C the
+    integral of the torsion function and equality for torsion data, so the
+    mass law y' = (y - 1) E puts this ratio at or above 1: mass above one
+    grows, and mass below one decays, at least as fast as for torsion data.
+    The canonical 1D runs (n=201, reaction_cap_c 0.015) fall short of 1 by
+    their first-order time error: ratios 0.978-0.997 at mass 1.5 and
+    0.987-1.038 at mass 0.5.  The slack 0.05 admits that 2.2% with room,
+    while a constant 5% too small scales every ratio by 0.95 (down to 0.929
+    and 0.938) and fails.
+    """
+    y = trace.corrected_mass
+    dy = (y[2:] - y[:-2]) / (trace.t[2:] - trace.t[:-2])
+    unsat = ~trace.saturated()
+    keep = unsat[1:-1] & unsat[2:] & unsat[:-2]
+    if not keep.any():
+        raise ValueError("rate check needs three consecutive unsaturated rows")
+    yk = y[1:-1][keep]
+    return bool(np.all(dy[keep] * c / ((yk - 1.0) * yk**2) >= 1.0 - RATE_SLACK))
+
+
+def time_weighted_median(values: np.ndarray, times: np.ndarray) -> float:
+    """Median of a sampled time series under the time measure (each row
+    weighted by the interval it represents), not the row count."""
+    if len(values) != len(times) or len(values) == 0:
+        raise ValueError("values and times must be equal-length and nonempty")
+    if len(values) == 1:
+        return float(values[0])
+    w = np.zeros(len(times))
+    dt = np.diff(times)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    order = np.argsort(values)
+    cum = np.cumsum(w[order])
+    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+    return float(values[order][min(idx, len(values) - 1)])
+
+
+def comparison_upper_bound(m_bound: float, b_bound: float,
+                           torsion: TorsionSolution) -> float:
+    """A-priori sup bound e^(B+1) * (M + max Phi) valid whenever the initial
+    data is below M and the space-time energy integral is below B."""
+    if m_bound <= 0:
+        raise ValueError("M must be positive")
+    if b_bound < 0:
+        raise ValueError("B must be nonnegative")
+    with np.errstate(over="ignore"):
+        return float(np.exp(b_bound + 1.0) * (m_bound + torsion.max_phi))
+
+
+def config_to_text(cfg: config.ExperimentConfig) -> str:
+    """Serialize back to the flat format (stable key order)."""
+    out = []
+    for key in config._SCHEMA:
+        val = cfg.values[key]
+        if isinstance(val, list):
+            rendered = " ".join(repr(x) if isinstance(x, float) else str(x) for x in val)
+        elif isinstance(val, float):
+            rendered = repr(val)
+        else:
+            rendered = str(val)
+        out.append(f"{key} = {rendered}")
+    return "\n".join(out) + "\n"

@@ -21,8 +21,9 @@ from replidyn.config import SweepSpec, parse_config
 from replidyn.experiment import run_experiment, run_sweep
 from replidyn.mesh import Field, build_grid, integrate
 
-from conftest import (DRIFT_TOL, EPS, ROUNDOFF_SEED, critical_drift,
-                      normalized_mass_residual, precap_trace, trichotomy_params)
+from conftest import (DRIFT_TOL, EPS, ROUNDOFF_SEED, comparison_upper_bound,
+                      critical_drift, normalized_mass_residual, precap_trace,
+                      time_weighted_median, trichotomy_params, weak_form_residual)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -91,7 +92,7 @@ def test_criterion_1_supercritical_blowup(run_blowup):
 def test_criterion_1_runtime(run_decay, run_critical, run_blowup):
     # the three runs re-run here in sequence must stay within the budget
     import time
-    grid = run_decay.final.grid
+    grid = run_decay.snapshots[-1][1].grid
     torsion = rd.solve_torsion(grid)
     start = time.time()
     for mass, t_end in ((0.5, 50.0), (1.0, 5.0), (1.5, 5.0)):
@@ -143,7 +144,7 @@ def test_criterion_3_h_identity(run_deep):
 # --- criterion 4: global blow-up ---------------------------------------------
 
 def test_criterion_4_global_blowup_set(run_deep):
-    rep = blowup.blowup_set_estimate(run_deep.snapshots, growth_threshold=10.0)
+    rep = blowup.blowup_set_estimate(run_deep.snapshots)
     ok = rep.blowup_set_fraction >= 0.99 and rep.core_min_growth[0.25] >= 10.0
     assert report("criterion 4 (blow-up set)", ok,
                   f"fraction={rep.blowup_set_fraction:.4f}, "
@@ -163,8 +164,8 @@ def test_criterion_5_energy_and_mass_diverge_together(run_critical, run_blowup,
         trace = result.trace
         below = trace.sup_norm < 0.5 * result.sup_cap
         idx = int(np.where(below)[0][-1])
-        med_e = diag.time_weighted_median(trace.energy, trace.t)
-        med_m = diag.time_weighted_median(trace.corrected_mass, trace.t)
+        med_e = time_weighted_median(trace.energy, trace.t)
+        med_m = time_weighted_median(trace.corrected_mass, trace.t)
         this = (trace.energy[idx] >= 10.0 * med_e
                 and trace.corrected_mass[idx] >= 10.0 * med_m)
         details.append(f"{name}: E x{trace.energy[idx]/med_e:.0f}, "
@@ -180,7 +181,7 @@ def test_criterion_5_bounded_runs_respect_estimates(run_decay, subdomain201,
     b_bound = float(np.sum(0.5 * (trace.energy[1:] + trace.energy[:-1])
                            * np.diff(trace.t)))
     sup_ok = float(np.max(trace.sup_norm)) \
-        <= rd.comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1
+        <= comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1
     _, grad_ok, _, _ = diag.gradient_bound_check(
         trace, run_decay.snapshots, subdomain201, run_decay.snapshots[0][1],
         tol=0.1)
@@ -203,7 +204,7 @@ def test_criterion_6_estimate_suite(run_decay, run_critical, run_blowup,
         b_bound = float(np.sum(0.5 * (trace.energy[1:] + trace.energy[:-1])
                                * np.diff(trace.t)))
         comp_ok = float(np.max(trace.sup_norm)) \
-            <= rd.comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1 + 1e-6
+            <= comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1 + 1e-6
         conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25, u0, trace)
         conc_ok = (conc.lhs <= conc.bound * 1.1 + 1e-12
                    and conc.collar_energy <= conc.collar_bound * 1.1 + 1e-12)
@@ -282,7 +283,7 @@ def _weak_form_residual_at(n, dt_max):
     test = lambda t: Field(grid, bump * np.sin(np.pi * t / T) ** 2)
     test_dt = lambda t: Field(
         grid, bump * 2 * np.sin(np.pi * t / T) * np.cos(np.pi * t / T) * np.pi / T)
-    return diag.weak_form_residual(result.snapshots, test, test_dt, EPS)
+    return weak_form_residual(result.snapshots, test, test_dt, EPS)
 
 
 def test_criterion_9_weak_form_residual():
@@ -300,7 +301,7 @@ def test_criterion_10_epsilon_convergence(grid201, torsion201):
     for eps in (1e-2, 1e-3, 1e-4):
         u0 = rd.torsion_profile(grid201, 1.0, eps, torsion201)
         params = rd.SolverParams(epsilon=eps, t_end=1.0, dt_init=1e-4, dt_max=0.01)
-        finals.append(rd.run(u0, params, torsion201).final.values)
+        finals.append(rd.run(u0, params, torsion201).snapshots[-1][1].values)
     h = grid201.h[0]
     d01 = float(np.sqrt(np.sum((finals[0] - finals[1]) ** 2) * h))
     d12 = float(np.sqrt(np.sum((finals[1] - finals[2]) ** 2) * h))

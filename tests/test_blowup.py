@@ -12,7 +12,8 @@ from replidyn.config import parse_config
 from replidyn.experiment import run_experiment
 from replidyn.mesh import Field
 
-from conftest import DEEP_EPS, deep_params, precap_trace, torsion_blowup_time
+from conftest import (DEEP_EPS, deep_params, precap_trace, time_weighted_median,
+                      torsion_blowup_time)
 from test_diagnostics import synthetic_trace
 
 
@@ -59,9 +60,8 @@ def test_blowup_set_on_manufactured_global_profile(grid201, torsion201):
     # u = Phi / (T - t): every interior node grows by the same factor
     T = 1.0
     snaps = [(t, Field(grid201, torsion201.phi.values / (T - t) + 1e-9))
-             for t in (0.0, 0.3, 0.5, 0.7, 0.9)]
-    report = blowup.blowup_set_estimate(snaps, checkpoints=[0.0, 0.3, 0.5, 0.7, 0.9],
-                                        growth_threshold=4.0)
+             for t in (0.0, 0.5, 0.9, 0.95, 0.99)]
+    report = blowup.blowup_set_estimate(snaps)
     assert report.blowup_set_fraction == 1.0
     inner = grid201.interior_mask
     factors = report.growth_factors[inner]
@@ -77,11 +77,13 @@ def test_blowup_set_needs_checkpoints(run_decay):
     with pytest.raises(ValueError):
         blowup.blowup_set_estimate(run_decay.snapshots[:2])
     with pytest.raises(ValueError):
-        blowup.blowup_set_estimate(run_decay.snapshots, checkpoints=[0.0, 1.0])
+        # every checkpoint time is nearest the snapshot at 0.01 or at 1
+        blowup.blowup_set_estimate([(t, f) for t, (_, f)
+                                    in zip((0.0, 0.01, 1.0), run_decay.snapshots)])
 
 
 def test_blowup_set_global_on_deep_run(run_deep):
-    report = blowup.blowup_set_estimate(run_deep.snapshots, growth_threshold=10.0)
+    report = blowup.blowup_set_estimate(run_deep.snapshots)
     assert report.blowup_set_fraction >= 0.99
     assert report.core_min_growth[0.25] >= 10.0
 
@@ -113,7 +115,6 @@ def test_blowup_outcome_invariants(run_blowup, run_deep):
         assert result.outcome == "BlowUp"
         assert float(np.max(result.trace.sup_norm)) >= result.sup_cap * (1 - 1e-9)
         trace = precap_trace(result)
-        from replidyn.diagnostics import time_weighted_median
         assert trace.energy[-1] >= 10.0 * time_weighted_median(trace.energy, trace.t)
         assert trace.corrected_mass[-1] >= 2.0 * trace.corrected_mass[0]
 

@@ -11,14 +11,16 @@ import pytest
 
 import replidyn as rd
 import replidyn.blowup as blowup_mod
+import replidyn.config as config_mod
 import replidyn.elliptic as elliptic_mod
 import replidyn.experiment as experiment_mod
 import replidyn.mesh as mesh_mod
 from replidyn.cli import build_parser, main
-from replidyn.config import (SWEEP_AXES, ConfigError, SweepSpec, config_to_text,
-                             parse_config)
+from replidyn.config import SWEEP_AXES, ConfigError, SweepSpec, parse_config
 from replidyn.experiment import (diagnostics_rows, run_experiment, run_sweep,
                                  solver_params_from_config)
+
+from conftest import config_to_text
 
 FAST_RUN = """
 grid.n = 101
@@ -50,6 +52,18 @@ def test_invalid_value_reports_key_and_line():
         parse_config("solver.epsilon = -1\n")
     with pytest.raises(ConfigError, match="line 1.*grid.n"):
         parse_config("grid.n = twelve\n")
+
+
+FLOAT_KEYS = [key for key, (kind, _) in config_mod._SCHEMA.items()
+              if kind in ("float", "floats")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_refused_by_key_and_line(key, value):
+    # nan passes every comparison-based range check, and inf some of them
+    with pytest.raises(ConfigError, match=rf"line 2: key '{re.escape(key)}': must be finite"):
+        parse_config(f"grid.n = 51\n{key} = {value}\n")
 
 
 def test_two_dimensional_config():
@@ -161,7 +175,7 @@ def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
     counts = []
     for _ in range(2):
         rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
-                                    result.sup_cap, grid, u0)
+                                    result.sup_cap, u0)
         assert ok and {r[0] for r in rows} >= {"gradient_bound", "boundary_concentration"}
         counts.append(len(factorizations))
     assert counts[0] >= 1
@@ -219,6 +233,16 @@ def test_sweep_refuses_values_that_share_a_run_directory(tmp_path, capsys):
                  "--parallel", "2", "--out", str(out)])
     assert code == 1
     assert "0.5000001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_non_finite_value_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", _write_cfg(tmp_path, FAST_RUN),
+                 "--axis", "initial_mass", "--values", "0.5,nan",
+                 "--parallel", "2", "--out", str(out)])
+    assert code == 1
+    assert "key 'init.mass': must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -283,6 +307,24 @@ def test_verify_rejects_an_unknown_check_name(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "['mass_od']" in captured.err and "gradient_bound" in captured.err
+
+
+def test_verify_refuses_a_trace_with_a_nan_time(tmp_path, capsys):
+    # a NaN time compares false with its neighbours, so the order check alone
+    # let it through and verify matched snapshots to the NaN row
+    cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("solver.t_end = 5.0", "solver.t_end = 0.05"))
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / "trace.csv").read_bytes().split(b"\r\n")
+    lines[2] = b"nan" + lines[2][lines[2].index(b","):]
+    (out / "trace.csv").write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    code = main(["verify", "--config", cfg_path, "--trace", str(out / "trace.csv"),
+                 "--snapshots", str(out / "snapshots.ndjson")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "finite and strictly increasing" in captured.err
 
 
 CANONICAL_BLOWUP = """
@@ -444,7 +486,7 @@ def test_blowup_decodes_only_the_checkpoint_snapshots(tmp_path, monkeypatch, cap
     assert main(["blowup", "--config", cfg_path, "--trace", str(out / "trace.csv"),
                  "--snapshots", str(out / "snapshots.ndjson"),
                  "--out", str(tmp_path / "blowup.csv")]) == 0
-    assert 3 <= len(decoded) <= len(blowup_mod.DEFAULT_CHECKPOINT_FRACTIONS)
+    assert 3 <= len(decoded) <= len(blowup_mod.CHECKPOINT_FRACTIONS)
     assert decoded[-1].rstrip("\n") == records[-1]
     assert "blowup_set_fraction" in (tmp_path / "blowup.csv").read_text()
     assert (tmp_path / "blowup.csv").read_bytes() == (out / "blowup.csv").read_bytes()

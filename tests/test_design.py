@@ -2,8 +2,9 @@
 writer, one owner of the singular time, one assembly of the Laplacian, no
 reads of mesh's private names outside mesh, the removed config keys and
 values rejected by name, README's key table in step with the schema, no
-import that only a rarely used path needs, a time step on plain arrays, and
-no dead private helper or unused import."""
+import that only a rarely used path needs, a time step on plain arrays, no
+dead private helper or unused import, and no public name that only the tests
+reach."""
 
 import ast
 import os
@@ -205,3 +206,24 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_every_public_name_is_reached_from_the_package_or_a_demo():
+    # a name in a module's __all__ that no other top-level statement of the
+    # package and no demo names is there only for the tests, which hold such
+    # oracles themselves; __init__ only re-exports, so it does not count
+    statements = [(name, stmt) for name, text in _sources().items()
+                  if name != "__init__" for stmt in ast.parse(text).body]
+    demos = [ast.parse(path.read_text())
+             for path in sorted((SRC.parents[1] / "demos").glob("*.py"))]
+    public = [(name, public_name) for name, stmt in statements
+              if isinstance(stmt, ast.Assign)
+              and [ast.unparse(t) for t in stmt.targets] == ["__all__"]
+              for public_name in ast.literal_eval(stmt.value)]
+    unreached = []
+    for name, public_name in public:
+        users = [stmt for _, stmt in statements
+                 if getattr(stmt, "name", None) != public_name] + demos
+        if not any(public_name in _loaded_names(user) for user in users):
+            unreached.append(f"{name}.{public_name}")
+    assert unreached == []

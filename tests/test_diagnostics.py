@@ -16,7 +16,8 @@ from replidyn.diagnostics import TRACE_COLUMNS, ConcentrationResult, Trace
 from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field, integrate
 
-from conftest import EPS, normalized_mass_residual, precap_trace, trichotomy_params
+from conftest import (EPS, normalized_mass_residual, precap_trace, time_weighted_median,
+                      torsion_rate_check, trichotomy_params, weak_form_residual)
 
 
 def synthetic_trace(t, mass, energy, epsilon=None, omega=None):
@@ -142,7 +143,7 @@ def test_phi_norm_bounded_by_energy_history(fixture_name, request):
 def test_weak_form_zero_test_function(run_decay):
     grid = run_decay.snapshots[0][1].grid
     zero = lambda t: Field(grid, np.zeros(grid.shape))
-    assert diag.weak_form_residual(run_decay.snapshots, zero, zero, EPS) == 0.0
+    assert weak_form_residual(run_decay.snapshots, zero, zero, EPS) == 0.0
 
 
 def test_weak_form_constant_state(grid201):
@@ -153,14 +154,14 @@ def test_weak_form_constant_state(grid201):
     test = lambda t: Field(grid201, prof * np.sin(np.pi * t / T) ** 2)
     test_dt = lambda t: Field(
         grid201, prof * 2 * np.sin(np.pi * t / T) * np.cos(np.pi * t / T) * np.pi / T)
-    assert diag.weak_form_residual(snaps, test, test_dt, EPS) == 0.0
+    assert weak_form_residual(snaps, test, test_dt, EPS) == 0.0
 
 
 def test_weak_form_rejects_boundary_support(run_decay):
     grid = run_decay.snapshots[0][1].grid
     bad = lambda t: Field(grid, np.ones(grid.shape))
     with pytest.raises(ValueError, match="vanish"):
-        diag.weak_form_residual(run_decay.snapshots, bad, bad, EPS)
+        weak_form_residual(run_decay.snapshots, bad, bad, EPS)
 
 
 def test_mass_monotone_by_regime(run_decay, run_blowup):
@@ -179,22 +180,30 @@ def test_mass_monotone_by_regime(run_decay, run_blowup):
 def test_decay_rate_check(run_decay, torsion201):
     # the sharp rate with C = ∫φ_h holds on the decay run; 5% too small fails
     c = torsion201.c_subdomain
-    assert diag.torsion_rate_check(run_decay.trace, c)
-    assert not diag.torsion_rate_check(run_decay.trace, 0.95 * c)
+    assert torsion_rate_check(run_decay.trace, c)
+    assert not torsion_rate_check(run_decay.trace, 0.95 * c)
 
 
 def test_supercritical_rate_check(run_blowup, torsion201):
     # the same on the pre-cap blow-up run, where the mass grows
     c = torsion201.c_subdomain
     trace = precap_trace(run_blowup)
-    assert diag.torsion_rate_check(trace, c)
-    assert not diag.torsion_rate_check(trace, 0.95 * c)
+    assert torsion_rate_check(trace, c)
+    assert not torsion_rate_check(trace, 0.95 * c)
 
 
 def test_torsion_rate_check_rejects_a_saturated_trace(torsion201):
     saturated = synthetic_trace([0.0, 0.1, 0.2], [0.5] * 3, [1.0 / EPS] * 3, EPS, 1.0)
     with pytest.raises(ValueError, match="unsaturated"):
-        diag.torsion_rate_check(saturated, torsion201.c_subdomain)
+        torsion_rate_check(saturated, torsion201.c_subdomain)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]],
+                         ids=["nan", "inf-last"])
+def test_trace_refuses_non_finite_times(times):
+    # neither a NaN time nor a last infinite one makes a time difference <= 0
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        synthetic_trace(times, [1.0] * 3, [1.0] * 3)
 
 
 def test_trace_csv_roundtrip_bytes(run_decay, tmp_path):
@@ -415,4 +424,4 @@ def test_time_weighted_median_weights_by_interval():
     # value 1 held for 9 time units, value 100 for 1: the median is 1
     t = np.array([0.0, 9.0, 10.0])
     v = np.array([1.0, 1.0, 100.0])
-    assert diag.time_weighted_median(v, t) == 1.0
+    assert time_weighted_median(v, t) == 1.0

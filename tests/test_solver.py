@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 import replidyn as rd
 import replidyn.solver as solver_mod
-from conftest import trichotomy_params
+from conftest import comparison_upper_bound, trichotomy_params
 from replidyn.config import parse_config
 from replidyn.experiment import atomic_write_text, run_experiment
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
@@ -113,9 +113,10 @@ def test_energy_and_mass_grow_on_supercritical_data(grid201, torsion201):
 
 
 def test_positivity_floor_and_boundary_pin(run_decay):
-    assert np.min(run_decay.final.values) >= EPS - 1e-12
-    grid = run_decay.final.grid
-    assert np.max(np.abs(run_decay.final.values[grid.boundary_mask] - EPS)) == 0.0
+    final = run_decay.snapshots[-1][1]
+    assert np.min(final.values) >= EPS - 1e-12
+    grid = final.grid
+    assert np.max(np.abs(final.values[grid.boundary_mask] - EPS)) == 0.0
 
 
 def _held_arrays(workspace):
@@ -209,21 +210,21 @@ def test_run_is_deterministic(grid201, torsion201):
 
 
 def test_dt_stays_within_bounds(run_decay):
-    params = run_decay.params
+    params = trichotomy_params(t_end=50.0)  # the parameters of run_decay
     assert np.all(run_decay.trace.dt >= params.dt_min)
     assert np.all(run_decay.trace.dt <= params.dt_max + 1e-15)
 
 
 def test_comparison_upper_bound_formula(torsion201):
     # e^(0+1) * (1 + 1/8)
-    val = rd.comparison_upper_bound(1.0, 0.0, torsion201)
+    val = comparison_upper_bound(1.0, 0.0, torsion201)
     assert val == pytest.approx(np.e * 1.125, rel=1e-12)
 
 
 def test_comparison_upper_bound_monotone(torsion201):
-    base = rd.comparison_upper_bound(1.0, 1.0, torsion201)
-    assert rd.comparison_upper_bound(2.0, 1.0, torsion201) > base
-    assert rd.comparison_upper_bound(1.0, 2.0, torsion201) > base
+    base = comparison_upper_bound(1.0, 1.0, torsion201)
+    assert comparison_upper_bound(2.0, 1.0, torsion201) > base
+    assert comparison_upper_bound(1.0, 2.0, torsion201) > base
 
 
 @pytest.mark.parametrize("fixture_name", ["run_decay", "run_critical"])
@@ -234,7 +235,7 @@ def test_sup_norm_below_comparison_bound(fixture_name, torsion201, request):
     m_bound = float(trace.sup_norm[0])
     b_bound = float(np.sum(0.5 * (trace.energy[1:] + trace.energy[:-1])
                            * np.diff(trace.t)))
-    bound = rd.comparison_upper_bound(m_bound, b_bound, torsion201)
+    bound = comparison_upper_bound(m_bound, b_bound, torsion201)
     assert float(np.max(trace.sup_norm)) <= bound + 1e-6
 
 
@@ -297,7 +298,7 @@ def test_small_2d_run_completes():
     params = rd.SolverParams(epsilon=EPS, t_end=0.3, dt_max=0.01)
     result = rd.run(u0, params, tor)
     assert result.outcome in ("RanToEnd", "Decayed")
-    assert np.min(result.final.values) >= EPS - 1e-12
+    assert np.min(result.snapshots[-1][1].values) >= EPS - 1e-12
 
 
 def _direct_solve(ws, u_int, dt, f, eps):
@@ -428,8 +429,9 @@ def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201,
                              dt_max=1e-5)
     a = rd.run(u0, params, torsion201)
     b = run_forward_euler(u0, params, torsion201, monkeypatch)
-    diff = np.max(np.abs(a.final.values - b.final.values))
-    assert diff <= 1e-4 * float(np.max(a.final.values))
+    a_final, b_final = a.snapshots[-1][1].values, b.snapshots[-1][1].values
+    diff = np.max(np.abs(a_final - b_final))
+    assert diff <= 1e-4 * float(np.max(a_final))
 
 
 def test_final_step_clamped_to_t_end_is_not_starvation():
@@ -445,7 +447,7 @@ def test_final_step_clamped_to_t_end_is_not_starvation():
     assert result.t_last == params.t_end
     assert result.trace.t[-1] == params.t_end
     assert float(np.max(result.trace.sup_norm)) < result.sup_cap
-    at_end = SolverState(params.t_end, result.final.values, 1e-2, 0.0, 0.0)
+    at_end = SolverState(params.t_end, result.snapshots[-1][1].values, 1e-2, 0.0, 0.0)
     with pytest.raises(ValueError, match="t_end"):
         step(at_end, params, _Workspace(g))
 
@@ -543,7 +545,6 @@ def test_trace_rows_are_the_reductions_of_the_stored_states(dimension, n):
     trace = result.trace
     assert result.outcome == "BlowUp"
     assert len(result.snapshots) == len(trace) > 30
-    assert result.final is result.snapshots[-1][1]
     for i, (t, field) in enumerate(result.snapshots):
         assert t == trace.t[i]
         assert trace.mass[i] == integrate(field)
