@@ -19,10 +19,12 @@ from the step.  In 2D the same SPD system
 (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
 applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
 ordering) that the run holds across steps; CG stops at
-||r|| <= CG_RTOL * ||rhs||.  It starts from the linear extrapolation
-u^n + (dt/dt_prev) (u^n - u^{n-1}) of the last two states, whose residual is
-O(dt^2), so a good factor needs about four iterations.  Only the diagonal and
-dt change from step to step, so one factor serves many steps.  When there is
+||r|| <= CG_RTOL * ||rhs||.  It starts from the combination sum_i c_i u_i of
+the last HISTORY states with the least residual (Fischer 1998): lstsq on the
+images A u_i, whose rcond drops a repeated state, and one neg_lap product per
+state as it enters.  A canonical run needs 1.2 (41^2) to 1.7 (81^2) iterations
+a step from there, against about four from a linear extrapolation, and one
+factor serves it whole.  When there is
 no factor yet, or CG needs more than CG_MAX_ITER (5) iterations, the matrix
 of the current step is factored and solved directly: a fresh factor costs
 about as much as 25 (81^2) to 40 (41^2) preconditioner solves, so a factor
@@ -74,6 +76,7 @@ __all__ = [
 # CG_MAX_ITER iterations to get there is replaced by a fresh one.
 CG_RTOL = 1e-13
 CG_MAX_ITER = 5
+HISTORY = 6  # CG starts from the best combination of the last HISTORY states
 DECAY_THRESHOLD = 0.05  # Decayed: corrected mass below this fraction of its start
 
 
@@ -101,6 +104,10 @@ class SolverParams:
     reaction_cap_c: float = 0.5
 
     def validate(self) -> None:
+        for name in ("epsilon", "sup_cap", "t_end"):  # NaN fails no comparison
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -156,12 +163,15 @@ class _Workspace:
         # Lap_h u |interior = boundary_value * bc - neg_lap @ u_int
         self.neg_lap, self.bc = dirichlet_laplacian(grid.shape, grid.h)
         self.lu = None
-        self.previous = None  # (u_int, dt) of the last 2D solve
         self.factorizations = 0
         self.cg_iterations = 0
         if grid.dimension == 1:
             self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
             self.h2 = grid.h[0] ** 2
+        else:  # a ring of the last HISTORY states and their neg_lap products
+            self.states = np.empty((HISTORY, self.n_interior))
+            self.products = np.empty((HISTORY, self.n_interior))
+            self.entered = 0
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -186,11 +196,15 @@ class _Workspace:
             return x
         rhs = (1.0 + dt * f) + dt * eps * self.bc
         inv_u = 1.0 / u_int
-        previous, self.previous = self.previous, (u_int, dt)
+        slot = self.entered % HISTORY  # the ring's oldest row, or an empty one
+        self.states[slot] = u_int
+        self.products[slot] = self.neg_lap @ u_int
+        self.entered += 1
         if self.lu is not None:  # held factors come from earlier 2D solves
-            u_prev, dt_prev = previous
-            x0 = u_int + (dt / dt_prev) * (u_int - u_prev)
-            x = self._preconditioned_cg(inv_u, dt, rhs, x0)
+            k = min(self.entered, HISTORY)
+            images = self.states[:k] * inv_u + dt * self.products[:k]
+            c = np.linalg.lstsq(images.T, rhs)[0]
+            x = self._preconditioned_cg(inv_u, dt, rhs, c @ self.states[:k])
             if x is not None:
                 return x
         a = sp.diags(inv_u) + dt * self.neg_lap

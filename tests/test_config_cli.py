@@ -135,7 +135,10 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(experiment_mod, "run", recording)
-    cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n")
+    # from dt_init=1e-2 the run refactors (4 factorizations); from the
+    # default 1e-3 one factor serves it whole
+    cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n"
+                       "solver.dt_init = 1e-2\n")
     out = tmp_path / "2d"
     run_experiment(cfg, str(out))
     stored = json.loads((out / "summary.json").read_text())
