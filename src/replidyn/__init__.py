@@ -26,8 +26,7 @@ from .initdata import (InitDataResult, construct_initial, mollify,
 from .mesh import (Field, Grid, build_grid, dirichlet_energy, gradient_inner,
                    integrate, laplacian, read_snapshots, write_snapshots)
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
-                         kernel_laplacian_consistency, payoff_matrix_from_kernel,
-                         replicator_rhs)
+                         payoff_matrix_from_laplacian, replicator_rhs)
 from .solver import (SimulationResult, SolverParams, SolverState, rho_eps, run,
                      step)
 

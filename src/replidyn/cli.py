@@ -25,7 +25,7 @@ from .experiment import (DIAGNOSTICS_HEADER, EXIT_CHECK_FAILED, EXIT_ERROR,
                          output_root, run_experiment, run_sweep)
 from .mesh import build_grid, read_snapshots, write_snapshots
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
-                         payoff_matrix_from_kernel)
+                         payoff_matrix_from_laplacian)
 
 
 def _load_config(path: str):
@@ -123,42 +123,31 @@ def _cmd_blowup(args) -> int:
     return EXIT_OK
 
 
-# The kernel game: a Gaussian payoff kernel of this width on this many
-# equally spaced strategies in [0, 1].
-KERNEL_SIGMA = 0.05
-KERNEL_GRID_N = 201
-
-
 def _cmd_replicator(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args.out)
-    payoff_kind = cfg["replicator.payoff"]
     p0_values = cfg["replicator.p0"]
-    if payoff_kind == "kernel":
-        grid = build_grid(1, [1.0], [KERNEL_GRID_N])
-        payoff = payoff_matrix_from_kernel(grid, KERNEL_SIGMA)
-        m = grid.n[0]
+    if cfg["replicator.payoff"] == "laplacian":
+        # one strategy per interior node; p0 defaults to a bump centred in the box
+        grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
+        payoff = payoff_matrix_from_laplacian(grid)
+        core = (slice(1, -1),) * grid.dimension
+        r2 = sum((x - 0.5 * e) ** 2
+                 for x, e in zip(grid.coordinate_arrays(), grid.extents))
+        raw = np.exp(-r2[core].ravel() / 0.02)
     else:
-        m = len(p0_values) or 2
-        payoff = PayoffMatrix(np.eye(m))
-    if p0_values:
-        if len(p0_values) != m:
-            raise ConfigError(
-                f"replicator.p0 has {len(p0_values)} entries, expected {m}")
-        p0 = SimplexState(np.asarray(p0_values))
-    elif payoff_kind == "kernel":
-        x = np.linspace(0.0, 1.0, m)
-        raw = np.exp(-((x - 0.5) ** 2) / 0.02)
-        p0 = SimplexState(raw / raw.sum())
-    else:
-        raw = np.linspace(1.0, 2.0, m)
-        p0 = SimplexState(raw / raw.sum())
+        raw = np.linspace(1.0, 2.0, len(p0_values) or 2)
+        payoff = PayoffMatrix(np.eye(len(raw)))
+    if p0_values and len(p0_values) != len(raw):
+        raise ConfigError(
+            f"replicator.p0 has {len(p0_values)} entries, expected {len(raw)}")
+    p0 = SimplexState(p0_values or raw / raw.sum())
 
     times, states, clip_total = integrate_replicator(
         p0, payoff, cfg["replicator.t_end"], cfg["replicator.dt"])
 
     atomic_write_text(os.path.join(out, "replicator_trace.csv"), csv_text(
-        ["t"] + [f"p_{i+1}" for i in range(m)],
+        ["t"] + [f"p_{i+1}" for i in range(len(raw))],
         [[float(t), *map(float, p)] for t, p in zip(times, states)]))
     print(f"steps={len(times)-1} clip_total={clip_total!r}")
     return EXIT_OK

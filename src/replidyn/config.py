@@ -182,7 +182,7 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
         _fail("diagnostics.margin", "must be positive", ln("diagnostics.margin"))
     if len(v["replicator.p0"]) == 1:
         _fail("replicator.p0", "need at least 2 strategies", ln("replicator.p0"))
-    if v["replicator.payoff"] not in ("coordination", "kernel"):
+    if v["replicator.payoff"] not in ("coordination", "laplacian"):
         _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
               ln("replicator.payoff"))
     for key in ("replicator.dt", "replicator.t_end"):

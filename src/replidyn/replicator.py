@@ -1,27 +1,29 @@
-"""Finite-strategy replicator dynamics and the kernel-to-Laplacian consistency check.
+"""Finite-strategy replicator dynamics, and the method of lines as a game.
 
 The simplex ODE  p_i' = ((Ap)_i - p.Ap) p_i  is integrated with classical RK4
-plus renormalization; payoff matrices built from a narrow Gaussian kernel on a
-1D strategy grid connect the discrete game to the continuum model, where the
-scaled kernel average  (2/sigma^2) (G_sigma * u - u)  approximates the
-Laplacian with an O(sigma^2) defect.
+plus renormalization.  The semi-discrete PDE is such a game, exactly: on the
+interior nodes of a grid take  p_i = w_i u_i  (w the trapezoid weights, so p
+lies on the simplex at mass 1) and the payoff  a = -A W^-1,  A = -Δ_h from
+``mesh.dirichlet_laplacian``.  Then  a p = Δ_h u,  summation by parts gives
+p.ap = -E_h(u),  and the replicator field is  w u (Δ_h u + E_h(u)),  the
+right-hand side of  u_t = u (Δu + ∫|∇u|²)  at ε = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Grid, laplacian
+from .mesh import Grid, dirichlet_laplacian
 
 __all__ = [
     "SimplexState",
     "PayoffMatrix",
     "replicator_rhs",
     "integrate_replicator",
-    "payoff_matrix_from_kernel",
-    "kernel_laplacian_consistency",
+    "payoff_matrix_from_laplacian",
 ]
 
 SIMPLEX_TOL = 1e-9
@@ -37,6 +39,10 @@ class SimplexState:
         self.validate()
 
     def validate(self) -> None:
+        if self.p.ndim != 1:
+            raise ValueError(f"frequencies must be a 1-D array, got shape {self.p.shape}")
+        if not np.all(np.isfinite(self.p)):  # NaN fails both checks below
+            raise ValueError("frequencies must be finite")
         if np.any(self.p < -SIMPLEX_TOL):
             raise ValueError("frequencies must be nonnegative")
         if abs(self.p.sum() - 1.0) > SIMPLEX_TOL:
@@ -67,17 +73,22 @@ def replicator_rhs(state: SimplexState, payoff: PayoffMatrix) -> np.ndarray:
 
 def integrate_replicator(p0: SimplexState, payoff: PayoffMatrix,
                          t_end: float, dt: float):
-    """Fixed-step RK4 with per-step renormalization.
+    """Fixed-step RK4 with per-step renormalization, to exactly t_end.
 
-    Negative components are clipped to zero before renormalizing; the clipped
-    magnitude is accounted per step and a step that clips more than 1e-6
-    aborts with "dt too large".  Returns (times, states array, total clip).
+    ``dt`` must divide ``t_end`` to rounding.  Negative components are
+    clipped to zero before renormalizing; the clipped magnitude is accounted
+    per step and a step that clips more than 1e-6 aborts with "dt too large".
+    Returns (times, states array, total clip).
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = round(t_end / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
+        raise ValueError(f"dt={dt} does not divide t_end={t_end} into whole steps")
     a = payoff.a
     p = p0.p.copy()
-    n_steps = int(round(t_end / dt))
     times = [0.0]
     states = [p.copy()]
     clip_total = 0.0
@@ -100,50 +111,11 @@ def integrate_replicator(p0: SimplexState, payoff: PayoffMatrix,
     return np.asarray(times), np.asarray(states), clip_total
 
 
-def payoff_matrix_from_kernel(grid_1d: Grid, sigma: float) -> PayoffMatrix:
-    """Gaussian payoff  a_ij = h * G_sigma(x_i - x_j)  on a 1D strategy grid.
-
-    Rows sum to (almost) one for nodes far from the ends, so the matrix acts
-    as a discretized kernel average.
-    """
-    if grid_1d.dimension != 1:
-        raise ValueError("kernel payoff matrices need a 1D strategy grid")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = grid_1d.axes[0]
-    h = grid_1d.h[0]
-    diff = x[:, None] - x[None, :]
-    a = h / np.sqrt(2.0 * np.pi * sigma**2) * np.exp(-diff**2 / (2.0 * sigma**2))
-    return PayoffMatrix(a)
-
-
-def kernel_laplacian_consistency(u: Field, sigma: float) -> float:
-    """Max defect of  (2/sigma^2)(G_sigma * u - u)  against the discrete Laplacian.
-
-    Evaluated at nodes at least 5 sigma from the boundary, where the truncated
-    kernel mass is negligible; the moment expansion makes the defect
-    O(sigma^2) + O(h^2) for smooth fields.
-    """
-    grid = u.grid
-    if grid.dimension != 1:
-        raise ValueError("consistency check implemented for 1D fields")
-    h = grid.h[0]
-    if sigma < 2.0 * h:
-        raise ValueError(f"kernel under-resolved: sigma {sigma} < 2h = {2*h}")
-    # symmetric window of 5 sigma, renormalized: odd moments vanish exactly,
-    # so the defect on affine fields is pure roundoff; the window fits inside
-    # the domain for every node evaluated below
-    half = int(5.0 * sigma / h)
-    z = np.arange(-half, half + 1) * h
-    kernel = np.exp(-z**2 / (2.0 * sigma**2))
-    kernel /= kernel.sum()
-    smoothed = np.convolve(u.values, kernel, mode="same")
-    scaled = (2.0 / sigma**2) * (smoothed - u.values)
-    lap = laplacian(u, 0.0).values
-
-    x = grid.axes[0]
-    deep = (x >= 5.0 * sigma) & (x <= grid.extents[0] - 5.0 * sigma)
-    deep &= grid.interior_mask
-    if not deep.any():
-        raise ValueError("no nodes at distance >= 5 sigma from the boundary")
-    return float(np.max(np.abs(scaled[deep] - lap[deep])))
+def payoff_matrix_from_laplacian(grid: Grid) -> PayoffMatrix:
+    """The dense payoff  -A W^-1  on the interior nodes of ``grid``, in
+    row-major order: A = -Δ_h from ``mesh.dirichlet_laplacian`` and W the
+    interior trapezoid weights.  Its game with  p = w u  is the semi-discrete
+    PDE at ε = 0 (see the module docstring)."""
+    a, _ = dirichlet_laplacian(grid.shape, grid.h)
+    core = (slice(1, -1),) * grid.dimension
+    return PayoffMatrix(-a.toarray() / grid.quad_weights[core].ravel())

@@ -657,18 +657,42 @@ output.dir = rep
     assert len(lines) == 202
 
 
-def test_cli_replicator_kernel_payoff_writes_csv(tmp_path, capsys):
-    # the kernel game has 201 strategies; its trace is the same CSV
-    cfg_path = _write_cfg(tmp_path, "replicator.payoff = kernel\n"
-                                    "replicator.t_end = 0.5\nreplicator.dt = 0.01\n")
+def test_cli_replicator_laplacian_payoff_writes_csv(tmp_path, capsys):
+    # the Laplacian game plays one strategy per interior node of grid.*;
+    # its trace is the same CSV
+    cfg_path = _write_cfg(tmp_path, "replicator.payoff = laplacian\ngrid.n = 21\n"
+                                    "replicator.t_end = 0.05\nreplicator.dt = 1e-4\n")
     out = tmp_path / "rep"
     assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "steps=500 clip_total=0.0\n"
     assert sorted(p.name for p in out.iterdir()) == ["replicator_trace.csv"]
     rows = np.loadtxt(out / "replicator_trace.csv", delimiter=",", skiprows=1)
     header = (out / "replicator_trace.csv").read_text().splitlines()[0].split(",")
-    assert header == ["t"] + [f"p_{i}" for i in range(1, 202)]
-    assert rows.shape == (51, 202)
+    assert header == ["t"] + [f"p_{i}" for i in range(1, 20)]
+    assert rows.shape == (501, 20)
     assert np.allclose(rows[:, 1:].sum(axis=1), 1.0)
+    # the default p0 is a bump centred in the box: node 10 of 21 is x = 0.5
+    assert np.argmax(rows[0, 1:]) == 9
+    assert np.allclose(rows[0, 1:], rows[0, :0:-1], rtol=1e-12, atol=0.0)
+
+
+def test_cli_replicator_laplacian_game_refuses_the_default_dt(tmp_path, capsys):
+    # the game is stiff: RK4 needs dt·λ_max·max u ≲ 2.8, and dt = 0.01 on 201
+    # nodes clips far more than the limit in its first step
+    cfg_path = _write_cfg(tmp_path, "replicator.payoff = laplacian\n")
+    out = tmp_path / "rep"
+    assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "dt too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_replicator_refuses_a_dt_that_does_not_divide_t_end(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, "replicator.t_end = 1.0\nreplicator.dt = 0.3\n")
+    out = tmp_path / "rep"
+    assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "t_end=1.0" in err and "dt=0.3" in err
+    assert not out.exists()
 
 
 def test_replicator_p0_needs_two_entries(tmp_path, capsys):

@@ -130,6 +130,7 @@ RETIRED = {
     ("solver.scheme", "explicit"),
     ("solver.cfl_c", "0.9"),
     ("replicator.payoff", "identity"),
+    ("replicator.payoff", "kernel"),
     *RETIRED.items(),
 ])
 def test_removed_keys_and_values_are_rejected(key, value):
