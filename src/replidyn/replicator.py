@@ -40,7 +40,7 @@ class SimplexState:
 
     def validate(self) -> None:
         if self.p.ndim != 1:
-            raise ValueError(f"frequencies must be a 1-D array, got shape {self.p.shape}")
+            raise ValueError(f"frequencies must be a 1-D array, not {self.p.shape}")
         if not np.all(np.isfinite(self.p)):  # NaN fails both checks below
             raise ValueError("frequencies must be finite")
         if np.any(self.p < -SIMPLEX_TOL):
@@ -118,4 +118,6 @@ def payoff_matrix_from_laplacian(grid: Grid) -> PayoffMatrix:
     PDE at ε = 0 (see the module docstring)."""
     a, _ = dirichlet_laplacian(grid.shape, grid.h)
     core = (slice(1, -1),) * grid.dimension
-    return PayoffMatrix(-a.toarray() / grid.quad_weights[core].ravel())
+    payoff = a.toarray()
+    payoff /= -grid.quad_weights[core].ravel()  # in place: one dense copy
+    return PayoffMatrix(payoff)
