@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Grid, dirichlet_laplacian
 
@@ -51,13 +52,14 @@ class SimplexState:
 
 @dataclass
 class PayoffMatrix:
-    a: np.ndarray
+    a: np.ndarray  # or a scipy sparse matrix
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
+        sparse = sp.issparse(self.a)
+        self.a = self.a.astype(float) if sparse else np.asarray(self.a, dtype=float)
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("payoff matrix must be square")
-        if not np.all(np.isfinite(self.a)):
+        if not np.all(np.isfinite(self.a.data if sparse else self.a)):
             raise ValueError("payoff matrix must be finite")
 
 
@@ -112,12 +114,10 @@ def integrate_replicator(p0: SimplexState, payoff: PayoffMatrix,
 
 
 def payoff_matrix_from_laplacian(grid: Grid) -> PayoffMatrix:
-    """The dense payoff  -A W^-1  on the interior nodes of ``grid``, in
-    row-major order: A = -Δ_h from ``mesh.dirichlet_laplacian`` and W the
+    """The sparse (CSR) payoff  -A W^-1  on the interior nodes of ``grid``,
+    in row-major order: A = -Δ_h from ``mesh.dirichlet_laplacian`` and W the
     interior trapezoid weights.  Its game with  p = w u  is the semi-discrete
     PDE at ε = 0 (see the module docstring)."""
     a, _ = dirichlet_laplacian(grid.shape, grid.h)
     core = (slice(1, -1),) * grid.dimension
-    payoff = a.toarray()
-    payoff /= -grid.quad_weights[core].ravel()  # in place: one dense copy
-    return PayoffMatrix(payoff)
+    return PayoffMatrix((a @ sp.diags(-1.0 / grid.quad_weights[core].ravel())).tocsr())

@@ -19,22 +19,23 @@ from the step.  In 2D the same SPD system
 (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
 applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
 ordering) that the run holds across steps; CG stops at
-||r|| <= CG_RTOL * ||rhs||.  It starts from the least-residual combination
-(Fischer 1998) of the newest state and the last HISTORY - 1 differences of
-consecutive states, which span what the states span but are far better
-scaled; each has its own neg_lap product.  One Householder QR (geqrt) of
-[images | rhs] leaves an lstsq on the unit-norm columns of R at a roundoff
-cutoff, without the differences whose images are roundoff next to the newest
-state's.  A canonical run needs 0.85 (41^2) to 1.06 (81^2) iterations a step
-from there, against 1.2 to 1.7 from lstsq over the states and about four
-from a linear extrapolation, and one factor serves it whole.  When there is
-no factor yet, or CG needs more than CG_MAX_ITER (5) iterations, the matrix
-of the current step is factored and solved directly: a fresh factor costs
-about as much as 25 (81^2) to 40 (41^2) preconditioner solves, so a factor
-that has gone stale is cheaper to replace than to iterate with.  The held
-factor is released before the new one is built, so two are never alive at
-once.  A solve thus depends on which factor is held only below the CG
-tolerance, and a run is deterministic.
+||r|| <= CG_RTOL * ||rhs||, and CG_RTOL = 1e-9 sits about seven orders below
+the scheme's time error (2e-2 in t_max on canonical settings).  It starts
+from the least-residual combination (Fischer 1998) of the newest state and
+the last HISTORY - 1 differences of consecutive states, which span what the
+states span but are far better scaled; each has its own neg_lap product.
+One Householder QR (geqrt) of [images | rhs] leaves an lstsq on the
+unit-norm columns of R at a roundoff cutoff, without the differences whose
+images are roundoff next to the newest state's.  A canonical run needs 0.24 (41^2) to
+0.33 (81^2) iterations a step from there (0.85 to 1.06 at CG_RTOL 1e-13),
+against 3.5 (41^2) from u^n alone, and one factor serves it whole.  When
+there is no factor yet, or CG needs more than CG_MAX_ITER (5) iterations,
+the matrix of the current step is factored and solved directly: a fresh
+factor costs about as much as 25 (81^2) to 40 (41^2) preconditioner solves,
+so a factor that has gone stale is cheaper to replace than to iterate with.
+The held factor is released before the new one is built, so two are never
+alive at once.  A solve thus depends on which factor is held only below the
+CG tolerance, and a run is deterministic.
 
 The step size halves when the sup norm moves by more than 10% per step and
 grows by 1.2x when it moves by less than 1%, capped by the reaction scale
@@ -76,8 +77,9 @@ __all__ = [
 
 # The 2D semi-implicit solve: conjugate gradients stop at this residual
 # relative to the right-hand side, and a held LU factor that needs more than
-# CG_MAX_ITER iterations to get there is replaced by a fresh one.
-CG_RTOL = 1e-13
+# CG_MAX_ITER iterations to get there is replaced by a fresh one.  Against
+# 1e-13, 1e-9 moves a canonical 2D trace by at most 9.4e-8 relative.
+CG_RTOL = 1e-9
 CG_MAX_ITER = 5
 HISTORY = 8  # CG starts from the newest state and HISTORY - 1 differences
 DECAY_THRESHOLD = 0.05  # Decayed: corrected mass below this fraction of its start

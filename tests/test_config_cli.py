@@ -15,6 +15,7 @@ import replidyn.config as config_mod
 import replidyn.elliptic as elliptic_mod
 import replidyn.experiment as experiment_mod
 import replidyn.mesh as mesh_mod
+import replidyn.solver as solver_mod
 from replidyn.cli import build_parser, main
 from replidyn.config import SWEEP_AXES, ConfigError, SweepSpec, parse_config
 from replidyn.experiment import (diagnostics_rows, run_experiment, run_sweep,
@@ -135,8 +136,9 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(experiment_mod, "run", recording)
-    # from dt_init=1e-2 the run refactors (4 factorizations); from the
-    # default 1e-3 one factor serves it whole
+    # one factor serves this run whole; allowed one CG iteration a step
+    # before the held factor is replaced, it refactors (3 factorizations)
+    monkeypatch.setattr(solver_mod, "CG_MAX_ITER", 1)
     cfg = parse_config("grid.dimension = 2\ngrid.n = 21 21\ninit.mass = 1.5\n"
                        "solver.dt_init = 1e-2\n")
     out = tmp_path / "2d"
@@ -680,6 +682,19 @@ def test_cli_replicator_laplacian_game_refuses_the_default_dt(tmp_path, capsys):
     # the game is stiff: RK4 needs dt·λ_max·max u ≲ 2.8, and dt = 0.01 on 201
     # nodes clips far more than the limit in its first step
     cfg_path = _write_cfg(tmp_path, "replicator.payoff = laplacian\n")
+    out = tmp_path / "rep"
+    assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "dt too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_replicator_laplacian_game_on_the_default_2d_grid_stays_sparse(tmp_path,
+                                                                          capsys):
+    # 201^2 nodes: the payoff is sparse, so the game reaches its first step
+    # (measured: 1.0 s at a 72 MB peak) and refuses the default dt there; a
+    # dense payoff would be 39,601^2 floats, 12.5 GB
+    cfg_path = _write_cfg(tmp_path, "replicator.payoff = laplacian\n"
+                                    "grid.dimension = 2\n")
     out = tmp_path / "rep"
     assert main(["replicator", "--config", cfg_path, "--out", str(out)]) == 1
     assert "dt too large" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import DEEP_EPS, deep_params
 from scipy.integrate import solve_ivp
 
@@ -156,6 +157,14 @@ def test_laplacian_game_is_the_semi_discrete_pde(spec):
     rhs = replicator_rhs(p, payoff)
     assert np.max(np.abs(rhs - pde)) <= 1e-14 * np.max(np.abs(pde))
     assert abs(p.p @ payoff.a @ p.p + energy) <= 1e-14 * energy
+
+
+def test_laplacian_payoff_is_sparse():
+    # -A W^-1 has the stencil of A, at most 2d + 1 entries a strategy; held
+    # dense at the default 2D grid (201^2) it would be 39,601^2 floats, 12.5 GB
+    payoff = payoff_matrix_from_laplacian(build_grid(2, [1.0, 1.0], [41, 41]))
+    assert sp.issparse(payoff.a)
+    assert payoff.a.nnz <= 5 * payoff.a.shape[0]
 
 
 @pytest.mark.parametrize("spec", [GAME_GRIDS["1d-201"], GAME_GRIDS["2d-41x41"]],

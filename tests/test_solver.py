@@ -352,28 +352,43 @@ def _record_solves(monkeypatch):
     return calls
 
 
+def _force_refactors(monkeypatch):
+    """Let CG take one iteration before the held factor is replaced.  At
+    CG_RTOL one factor serves every 21^2 run tried (dt_init 1e-8 to 5e-2);
+    with one iteration the blow-up from dt_init=1e-2 refactors twice (3
+    factorizations) and still solves most steps by CG."""
+    monkeypatch.setattr(solver_mod, "CG_MAX_ITER", 1)
+
+
+def _assert_solves(a, rhs, x, expected, u_int):
+    """x solves a x = rhs to CG_RTOL, so it lies within the distance that
+    residual implies from spsolve's solution: a = diag(1/u) + dt*neg_lap is
+    SPD and no smaller than min(1/u) I, so ||x - x*|| <= max(u) ||a x - rhs||,
+    plus 1e-14 ||x*|| for the direct solve's own roundoff."""
+    assert np.linalg.norm(a @ x - rhs) <= CG_RTOL * np.linalg.norm(rhs)
+    bound = u_int.max() * CG_RTOL * np.linalg.norm(rhs)
+    assert np.linalg.norm(x - expected) <= bound + 1e-14 * np.linalg.norm(expected)
+
+
 # The canonical 21^2 blow-up holds one factor for the whole run.  The default
-# controller started at dt_init=1e-2 moves dt fast enough that CG misses the
-# tolerance within CG_MAX_ITER iterations from the history start (4
-# factorizations), so the direct solves after a refactor are checked too; from
-# the default dt_init=1e-3 one factor serves the whole run.
-@pytest.mark.parametrize("overrides, min_steps, min_factorizations", [
-    (dict(dt_init=1e-4, reaction_cap_c=0.015), 100, 1),
-    (dict(dt_init=1e-2), 40, 2),
+# run from dt_init=1e-2 does too, so it is run with refactors forced, and the
+# direct solves after a refactor are checked as well.
+@pytest.mark.parametrize("overrides, min_steps, refactor", [
+    (dict(dt_init=1e-4, reaction_cap_c=0.015), 100, False),
+    (dict(dt_init=1e-2), 40, True),
 ], ids=["canonical", "default"])
-def test_2d_solve_matches_direct_solve_on_every_step(overrides, min_steps,
-                                                     min_factorizations, grid21,
-                                                     monkeypatch):
+def test_2d_solve_matches_direct_solve_on_every_step(overrides, min_steps, refactor,
+                                                     grid21, monkeypatch):
+    if refactor:
+        _force_refactors(monkeypatch)
     calls = _record_solves(monkeypatch)
     result = _blowup_21(grid21, **overrides)
     assert result.outcome == "BlowUp"
     assert len(calls) > min_steps
     assert result.cg_iterations > 0
-    assert result.factorizations >= min_factorizations
+    assert result.factorizations >= (2 if refactor else 1)
     for ws, u_int, dt, f, eps, x in calls:
-        a, rhs, expected = _direct_solve(ws, u_int, dt, f, eps)
-        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
-        assert np.linalg.norm(a @ x - rhs) <= CG_RTOL * np.linalg.norm(rhs)
+        _assert_solves(*_direct_solve(ws, u_int, dt, f, eps), x, u_int)
 
 
 def test_2d_refactor_frees_the_stale_factor_first(grid21, monkeypatch):
@@ -392,6 +407,7 @@ def test_2d_refactor_frees_the_stale_factor_first(grid21, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_Workspace", Recording)
     monkeypatch.setattr(solver_mod, "splu", splu)
+    _force_refactors(monkeypatch)
     result = _blowup_21(grid21, dt_init=1e-2)
     assert len(workspaces) == 1
     assert result.factorizations >= 2
@@ -413,14 +429,11 @@ def test_2d_solve_refactors_a_stale_factor(grid21):
 
 
 def _solve_from_history(ws, u_int, dt, f):
-    """One 2D solve, checked against the assembled system: its residual within
-    CG_RTOL, its value within 1e-10 of spsolve, and the history holding a copy
-    of u_int as its newest state with its product, no ring array shared with
-    the returned state."""
+    """One 2D solve, checked against the assembled system (``_assert_solves``),
+    and the history holding a copy of u_int as its newest state with its
+    product, no ring array shared with the returned state."""
     x = ws.solve_semi_implicit(u_int, dt, f, EPS)
-    a, rhs, expected = _direct_solve(ws, u_int, dt, f, EPS)
-    assert np.linalg.norm(a @ x - rhs) <= CG_RTOL * np.linalg.norm(rhs)
-    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    _assert_solves(*_direct_solve(ws, u_int, dt, f, EPS), x, u_int)
     assert not any(np.shares_memory(x, ring) for ring in (ws.basis, ws.products, ws.block))
     assert np.array_equal(ws.basis[0], u_int)
     assert np.array_equal(ws.products[0], ws.neg_lap @ u_int)
@@ -526,14 +539,32 @@ def test_2d_run_trace_is_deterministic(grid21, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_2d_looser_cg_tolerance_moves_the_run_far_below_its_time_error(grid21,
+                                                                       monkeypatch):
+    # The canonical run's time error is about 2e-2 (t_max 2% above T_h).  Against
+    # CG_RTOL 1e-13, the largest relative drift of a trace column at 41^2 and
+    # 81^2 was 9.4e-8 (phi_norm), and at 21^2 1.5e-8 (sup_norm); a 1e-7 bound
+    # holds the solve seven orders below the time error.
+    canonical = dict(dt_init=1e-4, reaction_cap_c=0.015)
+    shipped = _blowup_21(grid21, **canonical)
+    monkeypatch.setattr(solver_mod, "CG_RTOL", 1e-13)
+    tight = _blowup_21(grid21, **canonical)
+    assert shipped.cg_iterations < tight.cg_iterations
+    assert (shipped.outcome, shipped.steps) == (tight.outcome, tight.steps)
+    for column in ("t", "dt", "mass", "energy", "sup_norm", "phi_norm", "rho_value"):
+        np.testing.assert_allclose(getattr(shipped.trace, column),
+                                   getattr(tight.trace, column), rtol=1e-7, atol=0,
+                                   err_msg=column)
+    assert np.array_equal(shipped.trace.floored, tight.trace.floored)
+
+
 def test_2d_canonical_run_reuses_its_factorizations():
-    # measured: 1 factorization and 303 CG iterations in 357 steps (0.85 a
-    # step).  A factor per step fails the first bound; starting CG from the
-    # least-squares combination of the last six states at lstsq's default
-    # cutoff (1.20 iterations a step), the newest state and five differences
-    # (1.01), the linear extrapolation of the last two states (5
-    # factorizations, 4.08), the held factor's solution (4.5) or u^n (4.6)
-    # fails the second.
+    # measured: 1 factorization and 85 CG iterations in 357 steps (0.24 a
+    # step; 303, or 0.85, at CG_RTOL 1e-13).  A factor per step fails the
+    # first bound; starting CG from the newest state and five differences
+    # (HISTORY 6: 0.33 iterations a step), three (0.42), two (0.66) or one
+    # (1.05), from u^n (3.5) or from the held factor's solution (2
+    # factorizations, 4.2) fails the second.
     g = build_grid(2, [1.0, 1.0], [41, 41])
     tor = rd.solve_torsion(g)
     u0 = rd.torsion_profile(g, 1.5, EPS, tor)
@@ -543,7 +574,7 @@ def test_2d_canonical_run_reuses_its_factorizations():
     steps = len(result.trace) - 1
     assert result.outcome == "BlowUp"
     assert 1 <= result.factorizations <= steps // 20
-    assert 0 < result.cg_iterations <= 0.95 * steps
+    assert 0 < result.cg_iterations <= 0.3 * steps
 
 
 def test_solve_counters_are_zero_in_1d(run_decay):
