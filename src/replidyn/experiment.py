@@ -212,6 +212,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             "floor_flagged": result.floor_flagged,
             "factorizations": result.factorizations,
             "cg_iterations": result.cg_iterations,
+            "start_fallbacks": result.start_fallbacks,
         }
         if init_result is not None:
             atomic_write_text(os.path.join(out_dir, "initdata_report.csv"),

@@ -23,12 +23,20 @@ ordering) that the run holds across steps; CG stops at
 the scheme's time error (2e-2 in t_max on canonical settings).  It starts
 from the least-residual combination (Fischer 1998) of the newest state and
 the last HISTORY - 1 differences of consecutive states, which span what the
-states span but are far better scaled; each has its own neg_lap product.
-One Householder QR (geqrt) of [images | rhs] leaves an lstsq on the
-unit-norm columns of R at a roundoff cutoff, without the differences whose
-images are roundoff next to the newest state's.  A canonical run needs 0.24 (41^2) to
-0.33 (81^2) iterations a step from there (0.85 to 1.06 at CG_RTOL 1e-13),
-against 3.5 (41^2) from u^n alone, and one factor serves it whole.  When
+states span but are far better scaled.  At most HISTORY coefficients are
+fitted, so the residual is minimized on a fixed sample of 16 * HISTORY
+to 32 * HISTORY evenly spread interior rows (sketch-and-solve least squares;
+Drineas, Mahoney, Muthukrishnan & Sarlos 2011), every row of a smaller
+interior; each difference keeps its own neg_lap product on those rows, and
+the newest state its full product.  One Householder QR (geqrt) of the
+sampled [images | rhs] leaves an lstsq on the unit-norm columns of R at a
+roundoff cutoff, without the differences whose images are roundoff next to
+the newest state's.  The start's full residual is computed once and handed
+to CG; where the best multiple of the newest state leaves a smaller one, CG
+starts from that multiple instead (a start fallback), so the start is never
+worse than u^n alone.  A canonical run needs 0.25 (41^2) to 0.33 (81^2)
+iterations a step from there (0.85 to 1.06 at CG_RTOL 1e-13), against 3.5
+(41^2) from u^n alone, and one factor serves it whole.  When
 there is no factor yet, or CG needs more than CG_MAX_ITER (5) iterations,
 the matrix of the current step is factored and solved directly: a fresh
 factor costs about as much as 25 (81^2) to 40 (41^2) preconditioner solves,
@@ -154,6 +162,7 @@ class SimulationResult:
     steps: int
     factorizations: int  # sparse LU factorizations of the 2D solve (0 in 1D)
     cg_iterations: int   # preconditioned CG iterations of the 2D solve (0 in 1D)
+    start_fallbacks: int  # 2D CG starts from the newest state alone (0 in 1D)
 
 
 class _Workspace:
@@ -170,17 +179,26 @@ class _Workspace:
         self.lu = None
         self.factorizations = 0
         self.cg_iterations = 0
+        self.start_fallbacks = 0
         if grid.dimension == 1:
             self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
             self.h2 = grid.h[0] ** 2
         else:  # row 0 the newest state, then a ring of the last HISTORY - 1
-            # differences of consecutive states; their neg_lap products alike
+            # differences of consecutive states.  The start fits their
+            # coefficients on every stride-th interior row, 16 * HISTORY to
+            # 32 * HISTORY rows (every row of a smaller interior), so their
+            # neg_lap products are kept on those rows only; the newest state
+            # keeps its full product as well.
+            self.rows = slice(0, None, max(1, self.n_interior // (16 * HISTORY)))
+            self.neg_lap_rows = self.neg_lap[self.rows]
+            n_rows = self.neg_lap_rows.shape[0]
             self.basis = np.empty((HISTORY, self.n_interior))
-            self.products = np.empty((HISTORY, self.n_interior))
+            self.products = np.empty((HISTORY, n_rows))
+            self.product = None  # neg_lap @ basis[0]
             self.entered = 0
-            self.block = np.empty((HISTORY + 1, self.n_interior))  # [images | rhs]
+            self.block = np.empty((HISTORY + 1, n_rows))  # [images | rhs] on the rows
             self.geqrt, = get_lapack_funcs(("geqrt",), (self.bc,))
-            self.rcond = np.finfo(float).eps * max(self.n_interior, HISTORY)
+            self.rcond = np.finfo(float).eps * max(n_rows, HISTORY)
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -211,12 +229,13 @@ class _Workspace:
             self.basis[slot] = d
             # a difference of products would carry the newest product's
             # roundoff, large next to the product of a small difference
-            self.products[slot] = self.neg_lap @ d
+            self.products[slot] = self.neg_lap_rows @ d
         self.basis[0] = u_int
-        self.products[0] = self.neg_lap @ u_int
+        self.product = self.neg_lap @ u_int
+        self.products[0] = self.product[self.rows]
         self.entered += 1
         if self.lu is not None:  # held factors come from earlier 2D solves
-            x = self._preconditioned_cg(inv_u, dt, rhs, self._start(inv_u, dt, rhs))
+            x = self._preconditioned_cg(inv_u, dt, rhs, *self._start(inv_u, dt, rhs))
             if x is not None:
                 return x
         a = sp.diags(inv_u) + dt * self.neg_lap
@@ -225,29 +244,41 @@ class _Workspace:
         self.factorizations += 1
         return self.lu.solve(rhs)
 
-    def _start(self, inv_u: np.ndarray, dt: float, rhs: np.ndarray) -> np.ndarray:
-        """x0 = c @ basis with the least ||rhs - A x0||, A = diag(inv_u) +
-        dt*neg_lap, over the columns whose images are not roundoff."""
+    def _start(self, inv_u: np.ndarray, dt: float,
+               rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x0 = c @ basis and its residual rhs - A x0, A = diag(inv_u) +
+        dt*neg_lap.  c minimizes the residual on the sampled rows, over the
+        columns whose images there are not roundoff.  A sample minimizes the
+        full residual only nearly, so where the best multiple of the newest
+        state leaves a smaller one, x0 is that multiple (a fallback)."""
         k = min(self.entered, HISTORY)
+        rows = self.rows
         block = self.block[:k + 1]  # the images (dt*u*neg_lap b + b)/u, then rhs
-        np.multiply(self.products[:k], dt * self.basis[0], out=block[:k])
-        block[:k] += self.basis[:k]
-        block[:k] *= inv_u
-        block[k] = rhs
+        np.multiply(self.products[:k], dt * self.basis[0, rows], out=block[:k])
+        block[:k] += self.basis[:k, rows]
+        block[:k] *= inv_u[rows]
+        block[k] = rhs[rows]
         r = np.triu(self.geqrt(min(block.shape), block.T, overwrite_a=1)[0][:k + 1])
         norms = np.linalg.norm(r[:, :k], axis=0)
         scale = np.divide(1.0, norms, out=np.zeros(k), where=norms > 1e-12 * norms[0])
         y = np.linalg.lstsq(r[:, :k] * scale, r[:, k], rcond=self.rcond)[0]
-        return (y * scale) @ self.basis[:k]
+        x = (y * scale) @ self.basis[:k]
+        residual = rhs - (inv_u * x + dt * (self.neg_lap @ x))
+        image = inv_u * self.basis[0] + dt * self.product
+        c = (image @ rhs) / (image @ image)
+        alone = rhs - c * image
+        if alone @ alone < residual @ residual:
+            self.start_fallbacks += 1
+            return c * self.basis[0], alone
+        return x, residual
 
     def _preconditioned_cg(self, inv_u: np.ndarray, dt: float, rhs: np.ndarray,
-                           x: np.ndarray) -> np.ndarray | None:
-        """Conjugate gradients from the start x (updated in place),
-        preconditioned by the held factor; None when CG_MAX_ITER iterations
-        do not reach ||r|| <= CG_RTOL * ||rhs||."""
+                           x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """Conjugate gradients from the start x and its residual r (both
+        updated in place), preconditioned by the held factor; None when
+        CG_MAX_ITER iterations do not reach ||r|| <= CG_RTOL * ||rhs||."""
         lu, neg_lap = self.lu, self.neg_lap
         tol = CG_RTOL * np.linalg.norm(rhs)
-        r = rhs - (inv_u * x + dt * (neg_lap @ x))
         p = rz = None
         for iteration in range(CG_MAX_ITER + 1):
             if np.linalg.norm(r) <= tol:
@@ -397,4 +428,5 @@ def run(u0eps: Field, params: SolverParams,
         steps=step_index,
         factorizations=workspace.factorizations,
         cg_iterations=workspace.cg_iterations,
+        start_fallbacks=workspace.start_fallbacks,
     )

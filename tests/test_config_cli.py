@@ -149,6 +149,7 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
     assert result.cg_iterations > 0
     assert stored["factorizations"] == result.factorizations
     assert stored["cg_iterations"] == result.cg_iterations
+    assert stored["start_fallbacks"] == result.start_fallbacks
 
 
 @pytest.mark.parametrize("stride", [1, 3])

@@ -430,26 +430,34 @@ def test_2d_solve_refactors_a_stale_factor(grid21):
 
 def _solve_from_history(ws, u_int, dt, f):
     """One 2D solve, checked against the assembled system (``_assert_solves``),
-    and the history holding a copy of u_int as its newest state with its
-    product, no ring array shared with the returned state."""
+    and the history holding a copy of u_int as its newest state with its full
+    product, each ring entry's product on the sampled rows, and no ring array
+    shared with the returned state."""
     x = ws.solve_semi_implicit(u_int, dt, f, EPS)
     _assert_solves(*_direct_solve(ws, u_int, dt, f, EPS), x, u_int)
-    assert not any(np.shares_memory(x, ring) for ring in (ws.basis, ws.products, ws.block))
+    rings = (ws.basis, ws.products, ws.product, ws.block)
+    assert not any(np.shares_memory(x, ring) for ring in rings)
     assert np.array_equal(ws.basis[0], u_int)
-    assert np.array_equal(ws.products[0], ws.neg_lap @ u_int)
+    assert np.array_equal(ws.product, ws.neg_lap @ u_int)
+    for b, product in zip(ws.basis[:min(ws.entered, HISTORY)], ws.products):
+        assert np.array_equal(product, (ws.neg_lap @ b)[ws.rows])
     return x
 
 
 def test_2d_history_start_survives_a_repeated_state(grid21):
     # the same state in every solve leaves every difference in the ring zero;
-    # the start drops them, and CG runs on the one held factor
+    # the start drops them, and CG runs on the one held factor.  The start then
+    # fits the newest state on every second row of the 21^2 interior, which
+    # its best multiple over every row beats: each CG start falls back to it.
     tor = rd.solve_torsion(grid21)
     ws = _Workspace(grid21)
     u_int = rd.torsion_profile(grid21, 1.5, EPS, tor).values[ws.interior].ravel()
     for _ in range(HISTORY + 2):
         _solve_from_history(ws, u_int, 1e-3, 20.0)
+    assert ws.products.shape == (HISTORY, 181)  # every second of 361 rows
     assert not ws.basis[1:].any() and not ws.products[1:].any()
     assert ws.factorizations == 1 and ws.cg_iterations > 0
+    assert ws.start_fallbacks == HISTORY + 1
 
 
 def test_2d_history_start_spans_a_refactor(grid21):
@@ -475,7 +483,7 @@ def solve_sequences(draw):
     next state is the floored solution, the same state again, the same state
     moved by at most 1e-15 relative, or fresh data, each solved at a random dt
     and nonlocal coefficient."""
-    n = draw(st.integers(4, 11))
+    n = draw(st.integers(4, 45))  # the start fits on a sample of rows from n = 18
     grid = build_grid(2, [1.0, 1.0], [n, n])
     n_int = (n - 2) ** 2
     values = hnp.arrays(float, n_int, elements=st.floats(EPS, 10.0))
@@ -511,14 +519,18 @@ def test_2d_history_start_solves_random_sequences(case):
                [("solution", 1e-6, 0.5, np.ones(4)), ("solution", 0.03125, 0.0, np.ones(4))]))
 def test_2d_start_is_no_worse_than_the_newest_state_alone(case):
     # The start minimizes ||rhs - A x0|| over the newest state and the
-    # differences, so it can lose to the best multiple of u^n alone only by
-    # roundoff, also where a difference is itself roundoff (a repeat, a 1e-15
-    # near-repeat) and where the basis has more columns than the grid has
-    # interior nodes (4x4).  The floor is 1e-14 ||rhs||, about 45 ulps: where
-    # u^n is a fixed point (constant data on 4x4), its multiple fits rhs to 0
-    # and a start summed from several columns reads up to 1.4e-15 ||rhs||.  The
-    # example is such a fixed point after a small step: with the difference's
-    # product taken as a difference of products, the start read 1.4e-12 ||rhs||.
+    # differences on a sample of rows, and falls back to the best multiple of
+    # u^n alone where that leaves a smaller full residual.  So it can lose to
+    # that multiple only by roundoff, also where a difference is itself
+    # roundoff (a repeat, a 1e-15 near-repeat) and where the basis has more
+    # columns than the grid has interior nodes (4x4).  The floor is
+    # 1e-14 ||rhs||, about 45 ulps: where u^n is a fixed point (constant data
+    # on 4x4), its multiple fits rhs to 0 and a start summed from several
+    # columns reads up to 1.4e-15 ||rhs||.  The example is such a fixed point
+    # after a small step: with the difference's product taken as a difference
+    # of products, the start read 1.4e-12 ||rhs||.  CG goes on from the
+    # residual the start returns, so that is the start's own to the roundoff
+    # of A x0.
     grid, u_int, solves = case
     ws = _Workspace(grid)
     for kind, dt, f, fresh in solves:
@@ -526,8 +538,10 @@ def test_2d_start_is_no_worse_than_the_newest_state_alone(case):
         a, rhs, _ = _direct_solve(ws, u_int, dt, f, EPS)
         image = a @ u_int
         alone = np.linalg.norm(rhs - (image @ rhs) / (image @ image) * image)
-        start = np.linalg.norm(rhs - a @ ws._start(1.0 / u_int, dt, rhs))
+        x0, r0 = ws._start(1.0 / u_int, dt, rhs)
+        start = np.linalg.norm(rhs - a @ x0)
         assert start <= (1 + 1e-9) * alone + 1e-14 * np.linalg.norm(rhs)
+        assert np.linalg.norm(r0 - (rhs - a @ x0)) <= 1e-14 * np.linalg.norm(abs(a) @ abs(x0))
         u_int = _next_state(kind, u_int, x, fresh)
 
 
@@ -543,8 +557,9 @@ def test_2d_looser_cg_tolerance_moves_the_run_far_below_its_time_error(grid21,
                                                                        monkeypatch):
     # The canonical run's time error is about 2e-2 (t_max 2% above T_h).  Against
     # CG_RTOL 1e-13, the largest relative drift of a trace column at 41^2 and
-    # 81^2 was 9.4e-8 (phi_norm), and at 21^2 1.5e-8 (sup_norm); a 1e-7 bound
-    # holds the solve seven orders below the time error.
+    # 81^2 is 4.2e-8 (phi_norm; 9.4e-8 with the start fitted on every row),
+    # and at 21^2 1.9e-8 (sup_norm); a 1e-7 bound holds the solve seven orders
+    # below the time error.
     canonical = dict(dt_init=1e-4, reaction_cap_c=0.015)
     shipped = _blowup_21(grid21, **canonical)
     monkeypatch.setattr(solver_mod, "CG_RTOL", 1e-13)
@@ -559,12 +574,13 @@ def test_2d_looser_cg_tolerance_moves_the_run_far_below_its_time_error(grid21,
 
 
 def test_2d_canonical_run_reuses_its_factorizations():
-    # measured: 1 factorization and 85 CG iterations in 357 steps (0.24 a
-    # step; 303, or 0.85, at CG_RTOL 1e-13).  A factor per step fails the
-    # first bound; starting CG from the newest state and five differences
-    # (HISTORY 6: 0.33 iterations a step), three (0.42), two (0.66) or one
-    # (1.05), from u^n (3.5) or from the held factor's solution (2
-    # factorizations, 4.2) fails the second.
+    # measured: 1 factorization and 89 CG iterations in 357 steps (0.25 a
+    # step; 85 with the start fitted on every row, 303 at CG_RTOL 1e-13), and
+    # no start fell back to the newest state alone.  A factor per step fails
+    # the first bound; starting CG from the newest state and five
+    # differences (HISTORY 6: 0.33 iterations a step), three (0.42), two
+    # (0.66) or one (1.05), from u^n (3.5) or from the held factor's solution
+    # (2 factorizations, 4.2) fails the second.
     g = build_grid(2, [1.0, 1.0], [41, 41])
     tor = rd.solve_torsion(g)
     u0 = rd.torsion_profile(g, 1.5, EPS, tor)
@@ -575,11 +591,46 @@ def test_2d_canonical_run_reuses_its_factorizations():
     assert result.outcome == "BlowUp"
     assert 1 <= result.factorizations <= steps // 20
     assert 0 < result.cg_iterations <= 0.3 * steps
+    assert result.start_fallbacks == 0
+
+
+def _asymmetric_data(grid, mass):
+    """sin^3(pi x) (1 + 2x) sin^3(pi y) at the given corrected mass: no
+    symmetry of the square, and far from the torsion profile's shape."""
+    x, y = np.meshgrid(*grid.axes, indexing="ij")
+    shape = np.sin(np.pi * x) ** 3 * (1.0 + 2.0 * x) * np.sin(np.pi * y) ** 3
+    values = EPS + mass / integrate(Field(grid, shape)) * shape
+    values[grid.boundary_mask] = EPS
+    return Field(grid, values)
+
+
+# Canonical mass-1.5 blow-ups whose CG start fits on every 13th (33x57) and
+# every 11th (41^2) interior row.  Measured: 357 steps, 1 factorization and 97
+# CG iterations on the torsion profile at 33x57 (96 with the start fitted on
+# every row); 364 steps, 5 factorizations and 1019 iterations on the
+# asymmetric data at 41^2 (974).  No start fell back to the newest state.
+@pytest.mark.parametrize("shape, asymmetric, factorizations, iterations", [
+    ((33, 57), False, 1, 97),
+    ((41, 41), True, 5, 1019),
+], ids=["torsion-33x57", "asymmetric-41"])
+def test_2d_canonical_run_holds_its_cg_iterations_on_a_sampled_start(
+        shape, asymmetric, factorizations, iterations):
+    g = build_grid(2, [1.0, 1.0], list(shape))
+    tor = rd.solve_torsion(g)
+    u0 = _asymmetric_data(g, 1.5) if asymmetric else rd.torsion_profile(g, 1.5, EPS, tor)
+    params = rd.SolverParams(epsilon=EPS, t_end=5.0, dt_init=1e-4,
+                             reaction_cap_c=0.015, snapshot_stride=20)
+    result = rd.run(u0, params, tor)
+    assert result.outcome == "BlowUp"
+    assert result.factorizations <= factorizations
+    assert 0 < result.cg_iterations <= iterations
+    assert result.start_fallbacks == 0
 
 
 def test_solve_counters_are_zero_in_1d(run_decay):
     assert run_decay.factorizations == 0
     assert run_decay.cg_iterations == 0
+    assert run_decay.start_fallbacks == 0
 
 
 def test_explicit_and_semi_implicit_agree_on_smooth_run(grid201, torsion201,
