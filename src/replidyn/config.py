@@ -38,7 +38,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "solver.t_end": ("float", 5.0),
     "solver.sup_cap": ("float", 0.0),        # 0 = auto
     "solver.snapshot_stride": ("int", 10),
-    "solver.trace_stride": ("int", 1),
     "solver.reaction_cap_c": ("float", 0.5),
     "diagnostics.margin": ("float", 0.25),
     "replicator.payoff": ("str", "coordination"),
@@ -172,9 +171,9 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
     if v["solver.sup_cap"] < 0 or 0 < v["solver.sup_cap"] <= v["solver.epsilon"]:
         _fail("solver.sup_cap", "must exceed solver.epsilon, or be 0 to select "
               "the automatic cap", ln("solver.sup_cap"))
-    for key in ("solver.snapshot_stride", "solver.trace_stride"):
-        if v[key] < 1:
-            _fail(key, "must be a positive integer", ln(key))
+    if v["solver.snapshot_stride"] < 1:
+        _fail("solver.snapshot_stride", "must be a positive integer",
+              ln("solver.snapshot_stride"))
     if not (0 < v["solver.reaction_cap_c"] <= 0.5):
         _fail("solver.reaction_cap_c", "must lie in (0, 0.5]",
               ln("solver.reaction_cap_c"))

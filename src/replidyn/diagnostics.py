@@ -213,7 +213,6 @@ class ConcentrationResult:
     bound: float
     collar_energy: float
     collar_bound: float
-    eta: float
     bound_series: np.ndarray
     accumulated_series: np.ndarray
 
@@ -265,7 +264,7 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
     bound = float(bound_series[-1])
     collar_bound = (2.0 * eta) ** (1.0 - q) * bound / q
     return ConcentrationResult(float(lhs_series[-1]), bound, float(collar_series[-1]),
-                               collar_bound, eta, bound_series, accumulated)
+                               collar_bound, bound_series, accumulated)
 
 
 def phi_norm_bound_check(trace: Trace, tol: float = 0.05) -> np.ndarray:

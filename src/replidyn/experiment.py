@@ -95,7 +95,6 @@ def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
         t_end=cfg["solver.t_end"],
         sup_cap=cfg["solver.sup_cap"] or None,
         snapshot_stride=cfg["solver.snapshot_stride"],
-        trace_stride=cfg["solver.trace_stride"],
         reaction_cap_c=cfg["solver.reaction_cap_c"],
     )
 

@@ -28,22 +28,22 @@ fitted, so the residual is minimized on a fixed sample of 16 * HISTORY
 to 32 * HISTORY evenly spread interior rows (sketch-and-solve least squares;
 Drineas, Mahoney, Muthukrishnan & Sarlos 2011), every row of a smaller
 interior; each difference keeps its own neg_lap product on those rows, and
-the newest state its full product.  One Householder QR (geqrt) of the
-sampled [images | rhs] leaves an lstsq on the unit-norm columns of R at a
-roundoff cutoff, without the differences whose images are roundoff next to
-the newest state's.  The start's full residual is computed once and handed
-to CG; where the best multiple of the newest state leaves a smaller one, CG
-starts from that multiple instead (a start fallback), so the start is never
-worse than u^n alone.  A canonical run needs 0.25 (41^2) to 0.33 (81^2)
-iterations a step from there (0.85 to 1.06 at CG_RTOL 1e-13), against 3.5
-(41^2) from u^n alone, and one factor serves it whole.  When
-there is no factor yet, or CG needs more than CG_MAX_ITER (5) iterations,
-the matrix of the current step is factored and solved directly: a fresh
-factor costs about as much as 25 (81^2) to 40 (41^2) preconditioner solves,
-so a factor that has gone stale is cheaper to replace than to iterate with.
-The held factor is released before the new one is built, so two are never
-alive at once.  A solve thus depends on which factor is held only below the
-CG tolerance, and a run is deterministic.
+the newest state its full product.  One lstsq at numpy's default cutoff fits
+the sampled images to the sampled rhs, without the differences whose images
+are roundoff next to the newest state's.  The start's full residual is
+computed once and handed to CG; where the best multiple of the newest state
+leaves a smaller one, CG starts from that multiple instead (a start
+fallback), so the start is never worse than u^n alone.  A canonical run
+needs 0.24 (41^2) to 0.33 (81^2) iterations a step from there (0.87 to 1.11
+at CG_RTOL 1e-13), against 3.5 (41^2) from u^n alone, and one factor serves
+it whole.  When there is no factor yet, or CG needs more than CG_MAX_ITER
+(5) iterations, the matrix of the current step is factored and solved
+directly: a fresh factor costs about as much as 25 (81^2) to 40 (41^2)
+preconditioner solves, so a factor that has gone stale is cheaper to
+replace than to iterate with.  The held factor is released before the new
+one is built, so two are never alive at once.  A solve thus depends on
+which factor is held only below the CG tolerance, and a run is
+deterministic.
 
 The step size halves when the sup norm moves by more than 10% per step and
 grows by 1.2x when it moves by less than 1%, capped by the reaction scale
@@ -86,7 +86,7 @@ __all__ = [
 # The 2D semi-implicit solve: conjugate gradients stop at this residual
 # relative to the right-hand side, and a held LU factor that needs more than
 # CG_MAX_ITER iterations to get there is replaced by a fresh one.  Against
-# 1e-13, 1e-9 moves a canonical 2D trace by at most 9.4e-8 relative.
+# 1e-13, 1e-9 moves a canonical 2D trace by at most 4.3e-8 relative.
 CG_RTOL = 1e-9
 CG_MAX_ITER = 5
 HISTORY = 8  # CG starts from the newest state and HISTORY - 1 differences
@@ -111,7 +111,6 @@ class SolverParams:
     t_end: float = 5.0
     sup_cap: float | None = None  # None: min(1e4 * initial sup, 0.8 * max(Phi)/eps)
     snapshot_stride: int = 10
-    trace_stride: int = 1
     # dt <= reaction_cap_c / max(rho, 1); 0.5 suffices for stability, smaller
     # values resolve the energy growth for tight identity checks near blow-up.
     reaction_cap_c: float = 0.5
@@ -132,8 +131,8 @@ class SolverParams:
             raise ValueError("sup_cap must exceed epsilon")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.snapshot_stride < 1 or self.trace_stride < 1:
-            raise ValueError("strides must be positive integers")
+        if self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be a positive integer")
         if not (0.0 < self.reaction_cap_c <= 0.5):
             raise ValueError("reaction_cap_c must lie in (0, 0.5]")
 
@@ -191,14 +190,10 @@ class _Workspace:
             # keeps its full product as well.
             self.rows = slice(0, None, max(1, self.n_interior // (16 * HISTORY)))
             self.neg_lap_rows = self.neg_lap[self.rows]
-            n_rows = self.neg_lap_rows.shape[0]
             self.basis = np.empty((HISTORY, self.n_interior))
-            self.products = np.empty((HISTORY, n_rows))
+            self.products = np.empty((HISTORY, self.neg_lap_rows.shape[0]))
             self.product = None  # neg_lap @ basis[0]
             self.entered = 0
-            self.block = np.empty((HISTORY + 1, n_rows))  # [images | rhs] on the rows
-            self.geqrt, = get_lapack_funcs(("geqrt",), (self.bc,))
-            self.rcond = np.finfo(float).eps * max(n_rows, HISTORY)
 
     def solve_semi_implicit(self, u_int: np.ndarray, dt: float, f: float,
                             eps: float) -> np.ndarray:
@@ -247,22 +242,22 @@ class _Workspace:
     def _start(self, inv_u: np.ndarray, dt: float,
                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x0 = c @ basis and its residual rhs - A x0, A = diag(inv_u) +
-        dt*neg_lap.  c minimizes the residual on the sampled rows, over the
-        columns whose images there are not roundoff.  A sample minimizes the
-        full residual only nearly, so where the best multiple of the newest
-        state leaves a smaller one, x0 is that multiple (a fallback)."""
+        dt*neg_lap.  c is one lstsq of the sampled images against the sampled
+        rhs, over the columns whose images there are not roundoff next to the
+        newest state's; the others get 0.  A sample minimizes the full
+        residual only nearly, so where the best multiple of the newest state
+        leaves a smaller one, x0 is that multiple (a fallback)."""
         k = min(self.entered, HISTORY)
         rows = self.rows
-        block = self.block[:k + 1]  # the images (dt*u*neg_lap b + b)/u, then rhs
-        np.multiply(self.products[:k], dt * self.basis[0, rows], out=block[:k])
-        block[:k] += self.basis[:k, rows]
-        block[:k] *= inv_u[rows]
-        block[k] = rhs[rows]
-        r = np.triu(self.geqrt(min(block.shape), block.T, overwrite_a=1)[0][:k + 1])
-        norms = np.linalg.norm(r[:, :k], axis=0)
-        scale = np.divide(1.0, norms, out=np.zeros(k), where=norms > 1e-12 * norms[0])
-        y = np.linalg.lstsq(r[:, :k] * scale, r[:, k], rcond=self.rcond)[0]
-        x = (y * scale) @ self.basis[:k]
+        # the images (dt*u*neg_lap b + b)/u on the rows
+        images = self.products[:k] * (dt * self.basis[0, rows])
+        images += self.basis[:k, rows]
+        images *= inv_u[rows]
+        norms = np.linalg.norm(images, axis=1)
+        keep = norms > 1e-12 * norms[0]
+        y = np.zeros(k)
+        y[keep] = np.linalg.lstsq(images[keep].T, rhs[rows])[0]
+        x = y @ self.basis[:k]
         residual = rhs - (inv_u * x + dt * (self.neg_lap @ x))
         image = inv_u * self.basis[0] + dt * self.product
         c = (image @ rhs) / (image @ image)
@@ -404,16 +399,13 @@ def run(u0eps: Field, params: SolverParams,
         step_index += 1
         max_floored = max(max_floored, state.floored)
 
-        if step_index % params.trace_stride == 0:
-            record(state, mass, sup)
+        record(state, mass, sup)
         if step_index % params.snapshot_stride == 0:
             snapshots.append((state.t, Field(grid, state.u)))
         if state.starved and sup > prev_sup:
             outcome = "BlowUp"
             break
 
-    if state.t > rows[-1][0]:
-        record(state, mass, sup)
     if state.t > snapshots[-1][0]:
         snapshots.append((state.t, Field(grid, state.u)))
 

@@ -152,17 +152,6 @@ def test_summary_carries_the_2d_solver_counters(tmp_path, monkeypatch):
     assert stored["start_fallbacks"] == result.start_fallbacks
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-def test_summary_steps_match_the_trace_rows(stride, tmp_path):
-    # a row every stride steps, the initial state's, and the last state's
-    cfg = parse_config(FAST_RUN).with_value("solver.trace_stride", stride)
-    run_experiment(cfg, str(tmp_path))
-    steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
-    rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
-    assert steps > 10 * stride
-    assert rows == 1 + -(-steps // stride)
-
-
 def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
     cfg = parse_config(FAST_RUN)
     grid = rd.build_grid(1, [1.0], cfg["grid.n"])

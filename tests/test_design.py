@@ -121,6 +121,7 @@ RETIRED = {
     "diagnostics.h_identity_tol": "0.05", "diagnostics.bound_slack": "0.1",
     "diagnostics.phi_norm_slack": "0.05", "replicator.strategies": "3",
     "replicator.sigma": "0.05", "replicator.grid_n": "201",
+    "solver.trace_stride": "1",
 }
 
 

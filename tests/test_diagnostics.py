@@ -382,7 +382,7 @@ def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
     bound = float(bound_series[-1])
     return ConcentrationResult(float(lhs_series[-1]), bound,
                                float(trapz_accum(collar_e)[-1]),
-                               (2.0 * eta) ** (1.0 - q) * bound / q, eta,
+                               (2.0 * eta) ** (1.0 - q) * bound / q,
                                bound_series, accumulated)
 
 

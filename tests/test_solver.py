@@ -435,7 +435,7 @@ def _solve_from_history(ws, u_int, dt, f):
     shared with the returned state."""
     x = ws.solve_semi_implicit(u_int, dt, f, EPS)
     _assert_solves(*_direct_solve(ws, u_int, dt, f, EPS), x, u_int)
-    rings = (ws.basis, ws.products, ws.product, ws.block)
+    rings = (ws.basis, ws.products, ws.product)
     assert not any(np.shares_memory(x, ring) for ring in rings)
     assert np.array_equal(ws.basis[0], u_int)
     assert np.array_equal(ws.product, ws.neg_lap @ u_int)
@@ -556,10 +556,9 @@ def test_2d_run_trace_is_deterministic(grid21, tmp_path):
 def test_2d_looser_cg_tolerance_moves_the_run_far_below_its_time_error(grid21,
                                                                        monkeypatch):
     # The canonical run's time error is about 2e-2 (t_max 2% above T_h).  Against
-    # CG_RTOL 1e-13, the largest relative drift of a trace column at 41^2 and
-    # 81^2 is 4.2e-8 (phi_norm; 9.4e-8 with the start fitted on every row),
-    # and at 21^2 1.9e-8 (sup_norm); a 1e-7 bound holds the solve seven orders
-    # below the time error.
+    # CG_RTOL 1e-13, the largest relative drift of a trace column is 4.0e-8 at
+    # 21^2, 3.1e-8 at 41^2 and 4.3e-8 at 81^2 (phi_norm each); a 1e-7 bound
+    # holds the solve seven orders below the time error.
     canonical = dict(dt_init=1e-4, reaction_cap_c=0.015)
     shipped = _blowup_21(grid21, **canonical)
     monkeypatch.setattr(solver_mod, "CG_RTOL", 1e-13)
@@ -574,8 +573,8 @@ def test_2d_looser_cg_tolerance_moves_the_run_far_below_its_time_error(grid21,
 
 
 def test_2d_canonical_run_reuses_its_factorizations():
-    # measured: 1 factorization and 89 CG iterations in 357 steps (0.25 a
-    # step; 85 with the start fitted on every row, 303 at CG_RTOL 1e-13), and
+    # measured: 1 factorization and 85 CG iterations in 357 steps (0.24 a
+    # step, as with the start fitted on every row; 311 at CG_RTOL 1e-13), and
     # no start fell back to the newest state alone.  A factor per step fails
     # the first bound; starting CG from the newest state and five
     # differences (HISTORY 6: 0.33 iterations a step), three (0.42), two
@@ -604,15 +603,18 @@ def _asymmetric_data(grid, mass):
     return Field(grid, values)
 
 
-# Canonical mass-1.5 blow-ups whose CG start fits on every 13th (33x57) and
-# every 11th (41^2) interior row.  Measured: 357 steps, 1 factorization and 97
-# CG iterations on the torsion profile at 33x57 (96 with the start fitted on
-# every row); 364 steps, 5 factorizations and 1019 iterations on the
-# asymmetric data at 41^2 (974).  No start fell back to the newest state.
+# Canonical mass-1.5 blow-ups whose CG start fits on every 13th (33x57), every
+# 11th (41^2) and every 48th (81^2) interior row.  Measured: 357 steps, 1
+# factorization and 96 CG iterations on the torsion profile at 33x57; 364
+# steps on the asymmetric data, with 5 factorizations and 1015 iterations at
+# 41^2 (974 with the start fitted on every row) and 8 and 1059 at 81^2.  The
+# pins are the counts measured when the start was fitted through a QR of the
+# sampled rows, 1 to 4 above these.  No start fell back to the newest state.
 @pytest.mark.parametrize("shape, asymmetric, factorizations, iterations", [
     ((33, 57), False, 1, 97),
     ((41, 41), True, 5, 1019),
-], ids=["torsion-33x57", "asymmetric-41"])
+    ((81, 81), True, 8, 1060),
+], ids=["torsion-33x57", "asymmetric-41", "asymmetric-81"])
 def test_2d_canonical_run_holds_its_cg_iterations_on_a_sampled_start(
         shape, asymmetric, factorizations, iterations):
     g = build_grid(2, [1.0, 1.0], list(shape))
@@ -737,8 +739,7 @@ def test_run_integrates_once_per_trace_row(grid201, torsion201):
     weights.uses = []
     grid = replace(grid201, quad_weights=weights)
     u0 = Field(grid, rd.torsion_profile(grid201, 1.5, EPS, torsion201).values)
-    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, trace_stride=1),
-                    torsion201)
+    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0), torsion201)
     assert len(result.trace) > 50
     assert weights.uses == ["multiply"] * len(result.trace)
     assert len(result.trace) == result.steps + 1
@@ -751,8 +752,8 @@ def test_trace_rows_are_the_reductions_of_the_stored_states(dimension, n):
     grid = build_grid(dimension, [1.0] * dimension, [n] * dimension)
     tor = rd.solve_torsion(grid)
     u0 = rd.torsion_profile(grid, 1.5, EPS, tor)
-    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, trace_stride=1,
-                                        snapshot_stride=1), tor)
+    result = rd.run(u0, rd.SolverParams(epsilon=EPS, t_end=5.0, snapshot_stride=1),
+                    tor)
     trace = result.trace
     assert result.outcome == "BlowUp"
     assert len(result.snapshots) == len(trace) > 30
@@ -778,8 +779,7 @@ def test_run_calls_step_by_name_once_per_step(config, tmp_path, monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "step", counting)
-    code, summary = run_experiment(parse_config(config + "solver.trace_stride = 1\n"),
-                                   str(tmp_path))
+    code, summary = run_experiment(parse_config(config), str(tmp_path))
     trace = rd.Trace.from_csv(tmp_path / "trace.csv")
     assert summary["outcome"] == "BlowUp"
     assert len(calls) == len(trace) - 1 == summary["steps"] > 30
