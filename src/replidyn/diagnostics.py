@@ -9,7 +9,6 @@ consistency error.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +102,12 @@ class Trace:
             header = fh.readline().rstrip("\n").split(",")
             if header != TRACE_COLUMNS:
                 raise ValueError(f"unexpected trace columns {header}")
-            body = fh.read()
-        if not body.strip():
-            raise ValueError("empty trace")
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
-                          usecols=range(len(TRACE_COLUMNS)))
+            start = fh.tell()  # loadtxt warns on a blank body, so look first
+            if not any(map(str.strip, iter(fh.readline, ""))):
+                raise ValueError("empty trace")
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                              usecols=range(len(TRACE_COLUMNS)))
         return cls(*data[:, :7].T, data[:, 7].astype(int), epsilon, omega_measure)
 
 

@@ -238,10 +238,10 @@ def edge_energy(v: np.ndarray, grid: Grid) -> float:
     already hold the boundary value, as the time stepper's states do."""
     total = 0
     for (hi, lo), step in zip(_EDGE_ENDS[grid.dimension], grid.h):
-        g = v[hi] - v[lo]  # one axis of edge_differences, squared in place
+        g = np.subtract(v[hi], v[lo])  # one axis of edge_differences, squared in place
         g /= step
         g *= g
-        total += g.sum()
+        total += np.add.reduce(g, axis=None)
     if not math.isfinite(total):  # as is each edge difference at a non-finite node
         raise ValueError("cannot evaluate the energy of a non-finite field")
     return float(total * math.prod(grid.h))

@@ -14,11 +14,11 @@ tridiagonal and solved directly by LAPACK gtsv, called without a wrapper; it
 is the routine scipy.linalg.solve_banded runs for a tridiagonal band, so the
 solution is bitwise the same.  A 1D step costs numpy calls more than
 arithmetic, so it makes few: the right-hand side is a fill plus two end
-entries, gtsv overwrites it and the diagonal, and run takes the sup norm
-from the step.  In 2D the same SPD system
-(diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by conjugate gradients,
-applied matrix-free and preconditioned by a sparse LU factor (minimum-degree
-ordering) that the run holds across steps; CG stops at
+entries, the diagonal goes into a buffer the workspace holds, gtsv
+overwrites both, and the old sup norm is the one the state carries.  In 2D
+the same SPD system (diag(1/u^n) - dt*Lap_h) u^{n+1} = rhs is solved by
+conjugate gradients, applied matrix-free and preconditioned by a sparse LU
+factor (minimum-degree ordering) that the run holds across steps; CG stops at
 ||r|| <= CG_RTOL * ||rhs||, and CG_RTOL = 1e-9 sits about seven orders below
 the scheme's time error (2e-2 in t_max on canonical settings).  It starts
 from the least-residual combination (Fischer 1998) of the newest state and
@@ -28,12 +28,12 @@ fitted, so the residual is minimized on a fixed sample of 16 * HISTORY
 to 32 * HISTORY evenly spread interior rows (sketch-and-solve least squares;
 Drineas, Mahoney, Muthukrishnan & Sarlos 2011), every row of a smaller
 interior; each difference keeps its own neg_lap product on those rows, and
-the newest state its full product.  One lstsq at numpy's default cutoff fits
-the sampled images to the sampled rhs, without the differences whose images
-are roundoff next to the newest state's.  The start's full residual is
-computed once and handed to CG; where the best multiple of the newest state
-leaves a smaller one, CG starts from that multiple instead (a start
-fallback), so the start is never worse than u^n alone.  A canonical run
+the newest state its full product.  LAPACK gelsd (lstsq's routine, at its
+cutoff) fits the sampled images to the sampled rhs, without the differences
+whose images are roundoff next to the newest state's.  The start's full
+residual is computed once and handed to CG; where the best multiple of the
+newest state leaves a smaller one, CG starts from that multiple instead (a
+start fallback), so the start is never worse than u^n alone.  A canonical run
 needs 0.24 (41^2) to 0.33 (81^2) iterations a step from there (0.87 to 1.11
 at CG_RTOL 1e-13), against 3.5 (41^2) from u^n alone, and one factor serves
 it whole.  When there is no factor yet, or CG needs more than CG_MAX_ITER
@@ -146,7 +146,7 @@ class SolverState:
     rho_value: float
     floored: int = 0
     starved: bool = False
-    sup: float | None = None  # max of u, set by step for run; step never reads it
+    sup: float | None = None  # max of u, set by step; the next step reads it
 
 
 @dataclass
@@ -179,9 +179,12 @@ class _Workspace:
         self.factorizations = 0
         self.cg_iterations = 0
         self.start_fallbacks = 0
+        self.gtsv, self.gelsd, self.gelsd_lwork = get_lapack_funcs(
+            ("gtsv", "gelsd", "gelsd_lwork"), (self.bc,))
         if grid.dimension == 1:
-            self.gtsv, = get_lapack_funcs(("gtsv",), (self.bc,))
             self.h2 = grid.h[0] ** 2
+            self.diag = np.empty(self.n_interior)  # gtsv overwrites it
+            self.off = np.empty(max(self.n_interior - 1, 1))  # gtsv copies it
         else:  # row 0 the newest state, then a ring of the last HISTORY - 1
             # differences of consecutive states.  The start fits their
             # coefficients on every stride-th interior row, 16 * HISTORY to
@@ -205,12 +208,12 @@ class _Workspace:
             rhs.fill(c)
             rhs[0] = c + dt * eps * self.bc[0]
             rhs[-1] = c + dt * eps * self.bc[-1]
-            diag = 1.0 / u_int
+            diag = np.divide(1.0, u_int, out=self.diag)
             diag += 2.0 * dt / self.h2
             # gtsv would turn non-finite data into a NaN solution without error
-            if not math.isfinite(diag.sum()):
+            if not math.isfinite(np.add.reduce(diag)):
                 raise ValueError("semi-implicit solve got non-finite data")
-            off = np.empty(max(self.n_interior - 1, 1))  # gtsv's minimum length
+            off = self.off  # of gtsv's minimum length 1
             off.fill(-dt * (1.0 / self.h2))
             x, info = self.gtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)[3:]
             if info > 0:
@@ -242,21 +245,17 @@ class _Workspace:
     def _start(self, inv_u: np.ndarray, dt: float,
                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x0 = c @ basis and its residual rhs - A x0, A = diag(inv_u) +
-        dt*neg_lap.  c is one lstsq of the sampled images against the sampled
-        rhs, over the columns whose images there are not roundoff next to the
-        newest state's; the others get 0.  A sample minimizes the full
-        residual only nearly, so where the best multiple of the newest state
-        leaves a smaller one, x0 is that multiple (a fallback)."""
+        dt*neg_lap, with c fitted by _fit on the sampled rows.  A sample
+        minimizes the full residual only nearly, so where the best multiple
+        of the newest state leaves a smaller one, x0 is that multiple (a
+        fallback)."""
         k = min(self.entered, HISTORY)
         rows = self.rows
         # the images (dt*u*neg_lap b + b)/u on the rows
         images = self.products[:k] * (dt * self.basis[0, rows])
         images += self.basis[:k, rows]
         images *= inv_u[rows]
-        norms = np.linalg.norm(images, axis=1)
-        keep = norms > 1e-12 * norms[0]
-        y = np.zeros(k)
-        y[keep] = np.linalg.lstsq(images[keep].T, rhs[rows])[0]
+        y = self._fit(images, rhs[rows])
         x = y @ self.basis[:k]
         residual = rhs - (inv_u * x + dt * (self.neg_lap @ x))
         image = inv_u * self.basis[0] + dt * self.product
@@ -266,6 +265,25 @@ class _Workspace:
             self.start_fallbacks += 1
             return c * self.basis[0], alone
         return x, residual
+
+    def _fit(self, images: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """np.linalg.lstsq(images[keep].T, b) by the gelsd it runs, called
+        directly, where keep drops the images that are roundoff next to
+        images[0]; their coefficients are 0."""
+        norms = np.linalg.norm(images, axis=1)
+        keep = norms > 1e-12 * norms[0]
+        a = images[keep].T
+        m, n = a.shape
+        cond = np.finfo(float).eps * max(m, n)
+        x = np.zeros(max(m, n))  # gelsd returns the solution in its first n entries
+        x[:m] = b
+        work, iwork, _ = self.gelsd_lwork(m, n, 1, cond)
+        x, _, _, info = self.gelsd(a, x, int(work), iwork, cond,
+                                   overwrite_a=1, overwrite_b=1)
+        y = np.zeros(len(images))
+        if info == 0:  # else gelsd's SVD failed; a zero fit leaves it to the fallback
+            y[keep] = x[:n]
+        return y
 
     def _preconditioned_cg(self, inv_u: np.ndarray, dt: float, rhs: np.ndarray,
                            x: np.ndarray, r: np.ndarray) -> np.ndarray | None:
@@ -312,7 +330,7 @@ def step(state: SolverState, params: SolverParams,
     new_int = workspace.solve_semi_implicit(u_int, dt, f, eps)
 
     floored = 0
-    if not new_int.min() >= eps:  # else flooring would change nothing
+    if not np.minimum.reduce(new_int) >= eps:  # else flooring would change nothing
         floored = np.count_nonzero(new_int < eps - 1e-15)
         np.maximum(new_int, eps, out=new_int)  # the solve's output is a fresh array
     u = np.empty(state.u.shape)
@@ -320,8 +338,11 @@ def step(state: SolverState, params: SolverParams,
     u[workspace.interior] = new_int.reshape(workspace.interior_shape)
 
     # boundary nodes never move, so the interior decides the relative change;
-    # states are >= eps > 0, so the old sup norm is the interior maximum
-    rel = float(np.abs(new_int - u_int).max()) / max(float(u_int.max()), eps)
+    # the old sup norm is max(interior max, eps): step records it in sup, and
+    # a caller's state without one gets it recomputed
+    old_sup = state.sup or max(float(np.maximum.reduce(u_int)), eps)
+    change = np.subtract(new_int, u_int)
+    rel = float(np.maximum.reduce(np.abs(change, out=change))) / old_sup
     next_dt = dt
     if rel > 0.10:
         next_dt = dt * 0.5
@@ -331,8 +352,8 @@ def step(state: SolverState, params: SolverParams,
 
     energy = edge_energy(u, workspace.grid)
     return SolverState(t=state.t + dt, u=u, dt=next_dt, energy=energy,
-                       rho_value=rho_eps(energy, eps), floored=floored,
-                       starved=starved, sup=max(float(new_int.max()), eps))
+                       rho_value=min(energy, 1.0 / eps), floored=floored,
+                       starved=starved, sup=max(float(np.maximum.reduce(new_int)), eps))
 
 
 def run(u0eps: Field, params: SolverParams,
@@ -363,16 +384,17 @@ def run(u0eps: Field, params: SolverParams,
     # phi_weighted_sup() evaluates on u - eps, restricted to the positive set
     # first, and the sup norm comes with the state.  The energy's finiteness
     # check in step() covers every state; a Field is built only for a snapshot.
-    def mass_and_sup(state: SolverState) -> tuple[float, float]:
-        return float((weights * state.u).sum()), state.sup
-
-    def record(state: SolverState, mass: float, sup: float) -> None:
-        phi_norm = float(abs((state.u.take(index) - eps) / phi).max())
-        rows.append((state.t, state.dt, mass, state.energy, sup, phi_norm,
+    def record(state: SolverState) -> tuple[float, float]:
+        mass = float(np.add.reduce(weights * state.u, axis=None))
+        v = state.u.take(index)
+        v -= eps
+        v /= phi
+        phi_norm = float(np.maximum.reduce(np.abs(v, out=v)))
+        rows.append((state.t, state.dt, mass, state.energy, state.sup, phi_norm,
                      state.rho_value, state.floored))
+        return mass, state.sup
 
-    mass, sup = mass_and_sup(state)
-    record(state, mass, sup)
+    mass, sup = record(state)
     snapshots = [(0.0, Field(grid, state.u))]
     eps_offset = eps * grid.volume
     initial_corrected = mass - eps_offset
@@ -395,11 +417,9 @@ def run(u0eps: Field, params: SolverParams,
 
         prev_sup = sup
         state = step(state, params, workspace)
-        mass, sup = mass_and_sup(state)
+        mass, sup = record(state)
         step_index += 1
         max_floored = max(max_floored, state.floored)
-
-        record(state, mass, sup)
         if step_index % params.snapshot_stride == 0:
             snapshots.append((state.t, Field(grid, state.u)))
         if state.starved and sup > prev_sup:

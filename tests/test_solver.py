@@ -1,7 +1,7 @@
 """Time stepper: scheme definitions, invariants, outcomes, and a-priori bounds."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -198,6 +198,21 @@ def test_step_floors_random_positive_data(case, scheme):
     new = _assert_fresh_floored_step(state, params, workspace)
     assert new.floored == np.count_nonzero(raw[0] < EPS - 1e-15)
     assert np.array_equal(new.u[workspace.interior].ravel(), np.maximum(raw[0], EPS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=positive_states())
+def test_step_reads_the_recorded_sup(case):
+    # step records sup = max(interior max, eps) and reads the old sup norm
+    # from it; a state without one falls back to that same expression, so the
+    # two states step to the same bits in every field
+    grid, state, params = case
+    assert state.sup is None
+    recorded = replace(state, sup=max(float(state.u[grid.interior_mask].max()), EPS))
+    a = step(state, params, _Workspace(grid))
+    b = step(recorded, params, _Workspace(grid))
+    for name in (f.name for f in fields(SolverState)):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_run_is_deterministic(grid201, torsion201):
@@ -543,6 +558,35 @@ def test_2d_start_is_no_worse_than_the_newest_state_alone(case):
         assert start <= (1 + 1e-9) * alone + 1e-14 * np.linalg.norm(rhs)
         assert np.linalg.norm(r0 - (rhs - a @ x0)) <= 1e-14 * np.linalg.norm(abs(a) @ abs(x0))
         u_int = _next_state(kind, u_int, x, fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([4, 5, 21, 45]), k=st.integers(1, HISTORY),
+       dropped=st.integers(0, HISTORY - 1), seed=st.integers(0, 2**32 - 1))
+@example(n=4, k=HISTORY, dropped=3, seed=0)
+def test_2d_start_fit_matches_lstsq(n, k, dropped, seed):
+    # _fit calls the gelsd that np.linalg.lstsq runs, at lstsq's cutoff, on
+    # the sampled images it keeps.  Random blocks of a workspace's sampled
+    # rows, with more kept columns than rows on the 4x4 grid (4 rows, up to 8
+    # columns) and, where dropped is a column past the first, that column at
+    # roundoff (1e-14 of the first), which the fit drops and gives 0.  Bitwise
+    # equality across LAPACK builds is not promised, so the bound is 1e-13.
+    ws = _Workspace(build_grid(2, [1.0, 1.0], [n, n]))
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((k, ws.products.shape[1]))
+    b = rng.standard_normal(ws.products.shape[1])
+    if 0 < dropped < k:
+        images[dropped] *= 1e-14 * np.linalg.norm(images[0]) / np.linalg.norm(images[dropped])
+    keep = np.linalg.norm(images, axis=1) > 1e-12 * np.linalg.norm(images[0])
+    assert keep.sum() == k - (0 < dropped < k)
+    expected = np.zeros(k)
+    expected[keep] = np.linalg.lstsq(images[keep].T, b)[0]
+    given_images, given_b = images.copy(), b.copy()
+    y = ws._fit(images, b)
+    assert np.array_equal(images, given_images) and np.array_equal(b, given_b)
+    assert np.all(y[~keep] == 0.0)
+    np.testing.assert_allclose(y, expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max())
 
 
 def test_2d_run_trace_is_deterministic(grid21, tmp_path):
