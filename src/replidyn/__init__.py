@@ -19,12 +19,11 @@ from .diagnostics import (Trace, boundary_concentration, gradient_bound_check,
                           h_identity_check, mass_ode_residual,
                           phi_norm_bound_check)
 from .elliptic import (TorsionSolution, measure_poincare_constant,
-                       phi_weighted_sup, solve_torsion, solve_torsion_subdomain)
+                       solve_torsion, solve_torsion_subdomain)
 from .experiment import run_experiment, run_sweep
-from .initdata import (InitDataResult, construct_initial, mollify,
-                       torsion_profile, verify_epsilon_sequence)
-from .mesh import (Field, Grid, build_grid, dirichlet_energy, gradient_inner,
-                   integrate, laplacian, read_snapshots, write_snapshots)
+from .initdata import torsion_profile
+from .mesh import (Field, Grid, build_grid, dirichlet_energy, integrate,
+                   laplacian, read_snapshots, write_snapshots)
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
                          payoff_matrix_from_laplacian, replicator_rhs)
 from .solver import (SimulationResult, SolverParams, SolverState, rho_eps, run,

@@ -1,8 +1,9 @@
-"""Command-line surface: run, sweep, verify, initdata, blowup, replicator.
+"""Command-line surface: run, sweep, verify, blowup, replicator.
 
 All subcommands read the flat key=value config format; the REPLIDYN_OUT
 environment variable overrides the output root.  Exit codes: 0 success,
-1 module error, 2 a verification check failed its tolerance.
+1 module error or usage error (argparse's message, as for an unknown
+subcommand), 2 a verification check failed its tolerance.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import numpy as np
 from . import diagnostics as diag
 from .blowup import blowup_metrics, checkpoint_indices
 from .config import ConfigError, SweepSpec, parse_config
-from .elliptic import solve_torsion
 from .experiment import (DIAGNOSTICS_HEADER, EXIT_CHECK_FAILED, EXIT_ERROR,
-                         EXIT_OK, atomic_write_text, build_initial_data,
-                         csv_text, diagnostics_rows, initdata_report_csv,
+                         EXIT_OK, atomic_write_text, csv_text, diagnostics_rows,
                          output_root, run_experiment, run_sweep)
-from .mesh import build_grid, read_snapshots, write_snapshots
+from .mesh import build_grid, read_snapshots
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
                          payoff_matrix_from_laplacian)
 
@@ -90,23 +89,6 @@ def _cmd_verify(args) -> int:
         atomic_write_text(args.out, text)
     print(text, end="")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_initdata(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(cfg, args.out)
-    grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    torsion = solve_torsion(grid)
-    u0eps, result = build_initial_data(cfg, grid, torsion)
-    report = result.report if result is not None else []
-    atomic_write_text(os.path.join(out, "u0eps.ndjson"),
-                      lambda fh: write_snapshots(fh, [(0.0, u0eps)]))
-    text = initdata_report_csv(report)
-    atomic_write_text(os.path.join(out, "initdata_report.csv"), text)
-    print(text, end="")
-    if report and not all(c.passed for c in report):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
 
 
 def _cmd_blowup(args) -> int:
@@ -183,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_init = sub.add_parser("initdata", help="build initial data and its report")
-    p_init.add_argument("--config", required=True)
-    p_init.add_argument("--out", default=None)
-    p_init.set_defaults(func=_cmd_initdata)
-
     p_blow = sub.add_parser("blowup", help="blow-up metrics from stored artifacts")
     p_blow.add_argument("--config", required=True)
     p_blow.add_argument("--trace", required=True)
@@ -204,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (code 0) or its error
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

@@ -29,7 +29,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "grid.dimension": ("int", 1),
     "grid.extents": ("floats", [1.0]),
     "grid.n": ("ints", [201]),
-    "init.profile": ("str", "torsion"),
     "init.mass": ("float", 1.0),
     "solver.epsilon": ("float", 1e-3),
     "solver.dt_init": ("float", 1e-3),
@@ -160,9 +159,6 @@ def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
               ln("solver.epsilon"))
     if v["init.mass"] <= 0:
         _fail("init.mass", "must be positive", ln("init.mass"))
-    if v["init.profile"] not in ("torsion", "constructed"):
-        _fail("init.profile", f"unknown profile {v['init.profile']!r}",
-              ln("init.profile"))
     if not (0 < v["solver.dt_min"] <= v["solver.dt_init"] <= v["solver.dt_max"]):
         _fail("solver.dt_init", "need 0 < dt_min <= dt_init <= dt_max",
               ln("solver.dt_init"))

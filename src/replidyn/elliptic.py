@@ -1,10 +1,11 @@
-"""Torsion problems -Δφ = 1 with zero Dirichlet data, and the φ-weighted sup norm.
+"""Torsion problems -Δφ = 1 with zero Dirichlet data.
 
 The torsion function of the full domain weights the sup norm that encodes
-linear decay toward the boundary; torsion functions of concentric sub-boxes
-drive the interior estimates.  Each system is mesh's Dirichlet Laplacian,
-solved directly on the interior nodes by a sparse LU factorization with the
-minimum-degree ordering the 2D time step also uses.
+linear decay toward the boundary (the solver takes that norm on its positive
+set); torsion functions of concentric sub-boxes drive the interior estimates.
+Each system is mesh's Dirichlet Laplacian, solved directly on the interior
+nodes by a sparse LU factorization with the minimum-degree ordering the 2D
+time step also uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "TorsionSolution",
     "solve_torsion",
     "solve_torsion_subdomain",
-    "phi_weighted_sup",
     "measure_poincare_constant",
 ]
 
@@ -99,17 +99,6 @@ def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
     weights = np.zeros(grid.shape)
     weights[box] = trapezoid_weights(sub_shape, grid.h)
     return TorsionSolution(Field(grid, full), float(np.sum(weights * full)), weights)
-
-
-def phi_weighted_sup(v: Field | np.ndarray, torsion: TorsionSolution) -> float:
-    """max |v/phi| over the nodes where phi is positive (the essential sup
-    ignores the measure-zero boundary, where phi vanishes).  ``v`` is a field
-    or its full-grid values."""
-    index, phi = torsion.positive_set
-    if not index.size:
-        raise ValueError("torsion solution has no positive interior values")
-    values = v.values if isinstance(v, Field) else v
-    return float(np.max(np.abs(values.take(index) / phi)))
 
 
 def measure_poincare_constant(grid: Grid) -> float:

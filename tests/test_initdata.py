@@ -1,4 +1,6 @@
-"""Regularized initial data: mollification, assembly, and the property report."""
+"""Regularized initial data: the torsion profile every run starts from, and
+the oracle of the paper's approximation u0eps (conftest.py): mollification,
+assembly, and the property report."""
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import replidyn as rd
 from replidyn import initdata as idt
 from replidyn.mesh import Field, build_grid, dirichlet_energy, distance_to_boundary, integrate
+
+from conftest import construct_initial, mollify, phi_weighted_sup, verify_epsilon_sequence
 
 EPS = 1e-3
 
@@ -63,7 +67,7 @@ def dense_mollify_oracle(u0, radius):
 
 
 def test_mollify_of_zero_is_zero(grid201):
-    out = idt.mollify(Field(grid201, np.zeros(grid201.shape)), 0.05)
+    out = mollify(Field(grid201, np.zeros(grid201.shape)), 0.05)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -73,12 +77,12 @@ def test_mollify_preserves_interior_mass(grid201):
     x = grid201.axes[0]
     v = np.where((x > 0.47) & (x < 0.53), 1.0, 0.0)
     f = Field(grid201, v)
-    out = idt.mollify(f, grid201.h[0])
+    out = mollify(f, grid201.h[0])
     assert abs(integrate(out) - integrate(f)) <= 1e-12
 
 
 def test_mollify_matches_dense_oracle_and_stays_close(grid201, torsion201):
-    out = idt.mollify(torsion201.phi, 0.05)
+    out = mollify(torsion201.phi, 0.05)
     oracle = dense_mollify_oracle(torsion201.phi, 0.05)
     assert np.max(np.abs(out.values - oracle)) <= 1e-12
     l2 = np.sqrt(np.sum((out.values - torsion201.phi.values) ** 2) * grid201.h[0])
@@ -87,7 +91,7 @@ def test_mollify_matches_dense_oracle_and_stays_close(grid201, torsion201):
 
 def test_mollify_support_distance_and_sign(grid201, torsion201):
     radius = 0.03
-    out = idt.mollify(half_torsion(grid201, torsion201), radius)
+    out = mollify(half_torsion(grid201, torsion201), radius)
     dist = distance_to_boundary(grid201)
     assert np.all(out.values[dist < radius - 1e-12] == 0.0)
     assert np.all(out.values >= 0.0)
@@ -96,9 +100,9 @@ def test_mollify_support_distance_and_sign(grid201, torsion201):
 def test_mollify_rejects_bad_radius(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
     with pytest.raises(idt.InitDataError):
-        idt.mollify(u0, 0.4)  # inward shift would swallow the domain
+        mollify(u0, 0.4)  # inward shift would swallow the domain
     with pytest.raises(idt.InitDataError):
-        idt.mollify(u0, 0.3 * grid201.h[0])  # below the grid spacing
+        mollify(u0, 0.3 * grid201.h[0])  # below the grid spacing
 
 
 def test_mollify_keeps_energy_of_boundary_layer(grid201, torsion201):
@@ -106,13 +110,13 @@ def test_mollify_keeps_energy_of_boundary_layer(grid201, torsion201):
     # percent for small radii (a cut or compression would lose tens of %)
     u0 = half_torsion(grid201, torsion201)
     e0 = dirichlet_energy(u0, 0.0)
-    out = idt.mollify(u0, 2 * grid201.h[0])
+    out = mollify(u0, 2 * grid201.h[0])
     assert abs(dirichlet_energy(out, 0.0) - e0) / e0 <= 0.05
 
 
 def test_construct_initial_boundary_and_report(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
-    result = idt.construct_initial(u0, EPS)
+    result = construct_initial(u0, EPS)
     assert np.all(result.u0eps.values[grid201.boundary_mask] == EPS)
     assert np.min(result.u0eps.values) >= EPS - 1e-12
     assert result.passed(), [c.name for c in result.report if not c.passed]
@@ -123,8 +127,8 @@ def test_construct_initial_boundary_and_report(grid201, torsion201):
 def test_constructed_field_under_weighted_envelope(grid201, torsion201):
     # pointwise: u0eps - eps <= (L + headroom) * Phi on interior nodes
     u0 = half_torsion(grid201, torsion201)
-    result = idt.construct_initial(u0, EPS)
-    bound_l = 1.25 * max(rd.phi_weighted_sup(u0, torsion201), dirichlet_energy(u0, 0.0))
+    result = construct_initial(u0, EPS)
+    bound_l = 1.25 * max(phi_weighted_sup(u0, torsion201), dirichlet_energy(u0, 0.0))
     interior = grid201.interior_mask
     envelope = (bound_l + max(result.headroom, 0.0) + 1e-12) * torsion201.phi.values
     assert np.all(result.u0eps.values[interior] - EPS <= envelope[interior] + 1e-12)
@@ -132,7 +136,7 @@ def test_constructed_field_under_weighted_envelope(grid201, torsion201):
 
 def test_construct_initial_rejects_zero_data(grid201):
     with pytest.raises(idt.InitDataError, match="strictly positive"):
-        idt.construct_initial(Field(grid201, np.zeros(grid201.shape)), EPS)
+        construct_initial(Field(grid201, np.zeros(grid201.shape)), EPS)
 
 
 def test_construct_initial_rejects_high_energy_data(grid201, torsion201):
@@ -141,16 +145,16 @@ def test_construct_initial_rejects_high_energy_data(grid201, torsion201):
     scale = 1.5 / integrate(torsion201.phi)
     u0 = Field(grid201, scale * torsion201.phi.values)
     with pytest.raises(idt.InitDataError, match="no real root"):
-        idt.construct_initial(u0, EPS)
+        construct_initial(u0, EPS)
 
 
 def test_epsilon_sequence_converges(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
     results = []
     for eps in (1e-2, 1e-3, 1e-4):
-        results.append(idt.construct_initial(u0, eps))
+        results.append(construct_initial(u0, eps))
         assert results[-1].passed()
-    seq = idt.verify_epsilon_sequence(results, u0)
+    seq = verify_epsilon_sequence(results, u0)
     assert seq["c_gap_decreasing"]
     assert seq["alpha_decreasing"]
     assert seq["w12_decreasing"]
@@ -163,7 +167,7 @@ def test_constant_approaches_target_energy_on_fine_grid():
     tor = rd.solve_torsion(g)
     u0 = Field(g, 0.5 * tor.phi.values)
     target = dirichlet_energy(u0, 0.0)
-    result = idt.construct_initial(u0, EPS)
+    result = construct_initial(u0, EPS)
     assert abs(result.C - target) / target <= 0.10
     assert result.passed()
 
@@ -183,6 +187,6 @@ def test_construct_initial_names_the_settings_a_coarse_grid_needs(dimension):
     coarse = build_grid(dimension, [1.0] * dimension, [41] * dimension)
     u0 = half_torsion(coarse, rd.solve_torsion(coarse))
     with pytest.raises(idt.InitDataError, match=r"grid\.n.*solver\.epsilon"):
-        idt.construct_initial(u0, EPS)
+        construct_initial(u0, EPS)
     fine = build_grid(dimension, [1.0] * dimension, [81] * dimension)
-    idt.construct_initial(half_torsion(fine, rd.solve_torsion(fine)), EPS)
+    construct_initial(half_torsion(fine, rd.solve_torsion(fine)), EPS)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from replidyn.experiment import atomic_write_text
 from replidyn.mesh import (Field, build_grid, dirichlet_energy, dirichlet_laplacian,
-                           edge_differences, edge_means, gradient_inner, integrate,
-                           laplacian, read_snapshots, write_snapshots)
+                           edge_differences, edge_means, integrate, laplacian,
+                           read_snapshots, write_snapshots)
+
+from conftest import gradient_inner
 
 
 def torsion_exact(x):

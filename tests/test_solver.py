@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 import replidyn as rd
 import replidyn.solver as solver_mod
-from conftest import comparison_upper_bound, trichotomy_params
+from conftest import comparison_upper_bound, phi_weighted_sup, trichotomy_params
 from replidyn.config import parse_config
 from replidyn.experiment import atomic_write_text, run_experiment
 from replidyn.mesh import Field, build_grid, dirichlet_energy, integrate, laplacian
@@ -806,7 +806,7 @@ def test_trace_rows_are_the_reductions_of_the_stored_states(dimension, n):
         assert trace.mass[i] == integrate(field)
         assert trace.energy[i] == dirichlet_energy(field, EPS)
         assert trace.sup_norm[i] == float(field.values.max())
-        assert trace.phi_norm[i] == rd.phi_weighted_sup(field.values - EPS, tor)
+        assert trace.phi_norm[i] == phi_weighted_sup(field.values - EPS, tor)
 
 
 @pytest.mark.parametrize("config", [
