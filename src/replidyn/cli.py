@@ -21,7 +21,7 @@ from .blowup import blowup_metrics, checkpoint_indices
 from .config import ConfigError, SweepSpec, parse_config
 from .experiment import (DIAGNOSTICS_HEADER, EXIT_CHECK_FAILED, EXIT_ERROR,
                          EXIT_OK, atomic_write_text, csv_text, diagnostics_rows,
-                         output_root, run_experiment, run_sweep)
+                         output_dir, run_experiment, run_sweep)
 from .mesh import build_grid, read_snapshots
 from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
                          payoff_matrix_from_laplacian)
@@ -30,12 +30,6 @@ from .replicator import (PayoffMatrix, SimplexState, integrate_replicator,
 def _load_config(path: str):
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def _out_dir(cfg, override: str | None) -> str:
-    if override:
-        return override
-    return os.path.join(output_root(), cfg["output.dir"])
 
 
 def _cmd_run(args) -> int:
@@ -107,7 +101,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_replicator(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(cfg, args.out)
+    out = args.out or output_dir(cfg)
     p0_values = cfg["replicator.p0"]
     if cfg["replicator.payoff"] == "laplacian":
         # one strategy per interior node; p0 defaults to a bump centred in the box

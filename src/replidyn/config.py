@@ -9,6 +9,11 @@ The format is intentionally minimal so sweep summaries stay diffable:
 Unknown keys, type mismatches, and invariant violations raise ConfigError
 carrying the key name and line number.  Defaults are applied for everything
 not mentioned.
+
+The grid, solver and sub-box rules are stated here once: ``grid_problems``,
+``solver_problems`` and ``margin_problems`` yield (key, reason) for each value
+no run can use, and ``refuse`` raises the first.  mesh.build_grid,
+SolverParams and elliptic.solve_torsion_subdomain apply them too.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# the rule functions are public but not listed, as in mesh
 __all__ = ["ConfigError", "ExperimentConfig", "SweepSpec", "parse_config",
            "SWEEP_AXES"]
 
@@ -32,7 +38,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "init.mass": ("float", 1.0),
     "solver.epsilon": ("float", 1e-3),
     "solver.dt_init": ("float", 1e-3),
-    "solver.dt_min": ("float", 1e-12),
     "solver.dt_max": ("float", 5e-2),
     "solver.t_end": ("float", 5.0),
     "solver.sup_cap": ("float", 0.0),        # 0 = auto
@@ -66,9 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         new = dict(self.values)
         new[key] = value
-        cfg = ExperimentConfig(new)
-        _validate(cfg)
-        return cfg
+        refuse(_problems(new))
+        return ExperimentConfig(new)
 
 
 def sweep_tag(value) -> str:
@@ -125,64 +129,92 @@ def _convert(key: str, kind: str, raw: str, lineno: int):
     raise ConfigError(f"line {lineno}: unhandled kind {kind}")
 
 
-def _fail(key: str, msg: str, lineno: int | None = None):
-    where = f"line {lineno}: " if lineno is not None else ""
-    raise ConfigError(f"{where}key {key!r}: {msg}")
+def grid_problems(dimension: int, extents, n):
+    """Yield (key, reason) for each grid setting no run can use."""
+    if dimension not in (1, 2):
+        yield "grid.dimension", f"must be 1 or 2, got {dimension}"
+        return
+    for key, values in (("grid.extents", extents), ("grid.n", n)):
+        if len(values) != dimension:
+            yield key, f"expected {dimension} entries, got {len(values)}"
+    if not all(0 < e < math.inf for e in extents):
+        yield "grid.extents", f"must be finite and positive, got {extents}"
+    if any(k < 3 for k in n):
+        yield "grid.n", "need at least 3 nodes per axis"
 
 
-def _validate(cfg: ExperimentConfig, lines: dict | None = None) -> None:
-    lines = lines or {}
-    v = cfg.values
+def solver_default(name: str):
+    """SolverParams' default of ``name``: its solver.* key's; for dt_min, the
+    step floor that only library callers set, 1e-12."""
+    return 1e-12 if name == "dt_min" else _SCHEMA[f"solver.{name}"][1]
 
-    def ln(key):
-        return lines.get(key)
 
+def solver_problems(params: dict):
+    """Yield (key, reason) for each solver setting no run can use; ``params``
+    maps every field of SolverParams to its value."""
+    for name, value in params.items():  # NaN fails no comparison
+        if not math.isfinite(value):
+            yield f"solver.{name}", f"must be finite, got {value}"
+    eps, cap = params["epsilon"], params["sup_cap"]
+    if not 0.0 < eps < 1.0:
+        yield "solver.epsilon", f"must lie in (0,1), got {eps}"
+    if not 0 < params["dt_min"] <= params["dt_init"] <= params["dt_max"]:
+        yield "solver.dt_init", "need 0 < dt_min <= dt_init <= dt_max"
+    if params["t_end"] <= 0:
+        yield "solver.t_end", "must be positive"
+    if cap < 0 or 0 < cap <= eps:
+        yield "solver.sup_cap", ("must exceed solver.epsilon, or be 0 to select "
+                                 "the automatic cap")
+    if params["snapshot_stride"] < 1:
+        yield "solver.snapshot_stride", "must be a positive integer"
+    if not 0 < params["reaction_cap_c"] <= 0.5:
+        yield "solver.reaction_cap_c", "must lie in (0, 0.5]"
+
+
+def subbox_nodes(extents, n, margin: float) -> list[list[int]]:
+    """Per axis, the nodes of the uniform grid (n nodes on [0, extent]) that
+    lie in the concentric box shrunk by ``margin`` per side."""
+    return [[i for i in range(k)
+             if margin - 1e-12 <= i * (e / (k - 1)) <= e - margin + 1e-12]
+            for e, k in zip(extents, n)]
+
+
+def margin_problems(extents, n, margin: float):
+    """Yield (key, reason) unless ``margin`` leaves a sub-box to solve on."""
+    kept = min(map(len, subbox_nodes(extents, n, margin)))
+    if margin <= 0 or kept < 3:
+        yield "diagnostics.margin", (f"must be positive and leave at least 3 nodes "
+                                     f"per axis of the sub-box; {margin} leaves {kept}")
+
+
+def _problems(v: dict):
+    """(key, reason) for each value of a config no run can use, up to the
+    first: the rules after grid_problems assume a usable grid."""
     for key, (kind, _) in _SCHEMA.items():
-        floats = {"float": [v[key]], "floats": v[key]}.get(kind, [])
-        if not all(map(math.isfinite, floats)):
-            _fail(key, f"must be finite, got {v[key]}", ln(key))
-    dim = v["grid.dimension"]
-    if dim not in (1, 2):
-        _fail("grid.dimension", f"must be 1 or 2, got {dim}", ln("grid.dimension"))
-    for key in ("grid.extents", "grid.n"):
-        vals = v[key]
-        if len(vals) == 1 and dim == 2:
-            v[key] = vals * 2
-        elif len(vals) != dim:
-            _fail(key, f"expected {dim} entries, got {len(vals)}", ln(key))
-    if any(e <= 0 for e in v["grid.extents"]):
-        _fail("grid.extents", "extents must be positive", ln("grid.extents"))
-    if any(n < 3 for n in v["grid.n"]):
-        _fail("grid.n", "need at least 3 nodes per axis", ln("grid.n"))
-    if not (0.0 < v["solver.epsilon"] < 1.0):
-        _fail("solver.epsilon", f"must lie in (0,1), got {v['solver.epsilon']}",
-              ln("solver.epsilon"))
+        if kind in ("float", "floats") and not key.startswith(("grid.", "solver.")):
+            if not all(map(math.isfinite, v[key] if kind == "floats" else [v[key]])):
+                yield key, f"must be finite, got {v[key]}"
+    yield from grid_problems(v["grid.dimension"], v["grid.extents"], v["grid.n"])
+    solver = {key.removeprefix("solver."): v[key] for key in v if key.startswith("solver.")}
+    yield from solver_problems({"dt_min": solver_default("dt_min"), **solver})
     if v["init.mass"] <= 0:
-        _fail("init.mass", "must be positive", ln("init.mass"))
-    if not (0 < v["solver.dt_min"] <= v["solver.dt_init"] <= v["solver.dt_max"]):
-        _fail("solver.dt_init", "need 0 < dt_min <= dt_init <= dt_max",
-              ln("solver.dt_init"))
-    if v["solver.t_end"] <= 0:
-        _fail("solver.t_end", "must be positive", ln("solver.t_end"))
-    if v["solver.sup_cap"] < 0 or 0 < v["solver.sup_cap"] <= v["solver.epsilon"]:
-        _fail("solver.sup_cap", "must exceed solver.epsilon, or be 0 to select "
-              "the automatic cap", ln("solver.sup_cap"))
-    if v["solver.snapshot_stride"] < 1:
-        _fail("solver.snapshot_stride", "must be a positive integer",
-              ln("solver.snapshot_stride"))
-    if not (0 < v["solver.reaction_cap_c"] <= 0.5):
-        _fail("solver.reaction_cap_c", "must lie in (0, 0.5]",
-              ln("solver.reaction_cap_c"))
-    if v["diagnostics.margin"] <= 0:
-        _fail("diagnostics.margin", "must be positive", ln("diagnostics.margin"))
+        yield "init.mass", "must be positive"
+    yield from margin_problems(v["grid.extents"], v["grid.n"], v["diagnostics.margin"])
     if len(v["replicator.p0"]) == 1:
-        _fail("replicator.p0", "need at least 2 strategies", ln("replicator.p0"))
+        yield "replicator.p0", "need at least 2 strategies"
     if v["replicator.payoff"] not in ("coordination", "laplacian"):
-        _fail("replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}",
-              ln("replicator.payoff"))
+        yield "replicator.payoff", f"unknown payoff {v['replicator.payoff']!r}"
     for key in ("replicator.dt", "replicator.t_end"):
         if v[key] <= 0:
-            _fail(key, "must be positive", ln(key))
+            yield key, "must be positive"
+
+
+def refuse(problems, lines: dict | None = None) -> None:
+    """Raise the first (key, reason) of ``problems`` as a ConfigError (a
+    ValueError), with the key's line if ``lines`` has it."""
+    for key, reason in problems:
+        where = f"line {lines[key]}: " if lines and key in lines else ""
+        raise ConfigError(f"{where}key {key!r}: {reason}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -201,6 +233,8 @@ def parse_config(text: str) -> ExperimentConfig:
         kind, _ = _SCHEMA[key]
         values[key] = _convert(key, kind, raw, lineno)
         lines_seen[key] = lineno
-    cfg = ExperimentConfig(values)
-    _validate(cfg, lines_seen)
-    return cfg
+    for key in ("grid.extents", "grid.n"):  # one value serves both axes of 2D
+        if len(values[key]) == 1 and values["grid.dimension"] == 2:
+            values[key] = values[key] * 2
+    refuse(_problems(values), lines_seen)
+    return ExperimentConfig(values)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .config import margin_problems, refuse, subbox_nodes
 from .mesh import Field, Grid, dirichlet_laplacian, trapezoid_weights
 
 __all__ = [
@@ -79,19 +80,11 @@ def solve_torsion(grid: Grid) -> TorsionSolution:
 def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
     """Torsion function of the concentric box shrunk by ``margin`` per side.
 
-    Nodes outside the sub-box carry zero.  The margin must leave at least
-    three nodes per axis.
+    Nodes outside the sub-box carry zero; refuses what
+    config.margin_problems names.
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    axes_idx = []
-    for ax, ext in zip(grid.axes, grid.extents):
-        keep = np.where((ax >= margin - 1e-12) & (ax <= ext - margin + 1e-12))[0]
-        if len(keep) < 3:
-            raise ValueError(
-                f"margin {margin} leaves {len(keep)} nodes on an axis; need >= 3"
-            )
-        axes_idx.append(keep)
+    refuse(margin_problems(grid.extents, grid.n, margin))
+    axes_idx = subbox_nodes(grid.extents, grid.n, margin)
     sub_shape = tuple(len(idx) for idx in axes_idx)
     box = np.ix_(*axes_idx)
     full = np.zeros(grid.shape)

@@ -35,7 +35,7 @@ from .mesh import build_grid, write_snapshots
 from .solver import SolverParams, run
 
 __all__ = ["run_experiment", "run_sweep", "atomic_write_text", "csv_text",
-           "output_root", "diagnostics_rows", "solver_params_from_config"]
+           "output_dir", "diagnostics_rows", "solver_params_from_config"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,8 +52,9 @@ BOUND_SLACK = 0.1
 CONCENTRATION_Q = 0.5
 
 
-def output_root() -> str:
-    return os.environ.get("REPLIDYN_OUT", ".")
+def output_dir(cfg: ExperimentConfig, suffix: str = "") -> str:
+    """output.dir (plus ``suffix``) under REPLIDYN_OUT, else under the cwd."""
+    return os.path.join(os.environ.get("REPLIDYN_OUT", "."), cfg["output.dir"] + suffix)
 
 
 def atomic_write_text(path: str, content) -> None:
@@ -86,16 +87,10 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
-    return SolverParams(
-        epsilon=cfg["solver.epsilon"],
-        dt_init=cfg["solver.dt_init"],
-        dt_min=cfg["solver.dt_min"],
-        dt_max=cfg["solver.dt_max"],
-        t_end=cfg["solver.t_end"],
-        sup_cap=cfg["solver.sup_cap"] or None,
-        snapshot_stride=cfg["solver.snapshot_stride"],
-        reaction_cap_c=cfg["solver.reaction_cap_c"],
-    )
+    """The solver.* keys as SolverParams fields; dt_min keeps its default."""
+    return SolverParams(**{key.removeprefix("solver."): cfg[key] for key in (
+        "solver.epsilon", "solver.dt_init", "solver.dt_max", "solver.t_end",
+        "solver.sup_cap", "solver.snapshot_stride", "solver.reaction_cap_c")})
 
 
 def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
@@ -169,7 +164,7 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     """Execute the full pipeline; returns (exit_code, summary dict)."""
-    out_dir = out_dir or os.path.join(output_root(), cfg["output.dir"])
+    out_dir = out_dir or output_dir(cfg)
     try:
         grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
         torsion = solve_torsion(grid)
@@ -227,8 +222,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 
 def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
     """Run all sweep configurations; returns (exit_code, summary rows)."""
-    out_root_dir = out_root_dir or os.path.join(output_root(),
-                                                spec.base["output.dir"] + "_sweep")
+    out_root_dir = out_root_dir or output_dir(spec.base, "_sweep")
 
     def one(value, cfg):
         run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{sweep_tag(value)}")

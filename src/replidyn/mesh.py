@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .config import grid_problems, refuse
+
 # edge_differences, edge_means and trapezoid_weights are public but not listed:
 # __all__ names the entry points of the grid layer, which bench/tracer.py wraps
 # in one span per call; a span per call of these inner pieces would add the
@@ -98,19 +100,11 @@ class Field:
 
 
 def build_grid(dimension: int, extents, n) -> Grid:
-    """Build a uniform grid on (0, extents) per axis with n nodes per axis."""
-    if dimension not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+    """Build a uniform grid on (0, extents) per axis with n nodes per axis;
+    refuses what config.grid_problems names."""
     extents = tuple(float(e) for e in np.atleast_1d(extents))
     n = tuple(int(k) for k in np.atleast_1d(n))
-    if len(extents) != dimension or len(n) != dimension:
-        raise ValueError(
-            f"expected {dimension} extents and node counts, got {extents} and {n}"
-        )
-    if any(e <= 0.0 for e in extents):
-        raise ValueError(f"extents must be positive, got {extents}")
-    if any(k < 3 for k in n):
-        raise ValueError(f"need at least 3 nodes per axis, got {n}")
+    refuse(grid_problems(dimension, extents, n))
 
     h = tuple(e / (k - 1) for e, k in zip(extents, n))
     axes = tuple(np.linspace(0.0, e, k) for e, k in zip(extents, n))

@@ -57,7 +57,9 @@ the cap, or the controller starved below dt_min while the sup norm was growing).
 Note the regularized dynamics are globally bounded by  eps + max(Phi)/eps  (the
 capped nonlocal term admits that stationary supersolution), so the default sup
 cap is clamped below this ceiling; otherwise a cap of 1e4 x the initial sup
-norm could never trigger at moderate eps.
+norm could never trigger at moderate eps.  A cap at or below the initial sup
+norm, which would end the run before its first step, is refused.  SolverParams
+takes its defaults and rules from config (solver_default, solver_problems).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
+from .config import refuse, solver_default, solver_problems
 from .diagnostics import Trace
 from .elliptic import TorsionSolution, solve_torsion
 from .mesh import Field, Grid, dirichlet_energy, dirichlet_laplacian, edge_energy
@@ -104,37 +107,20 @@ def rho_eps(z: float, epsilon: float) -> float:
 
 @dataclass
 class SolverParams:
+    """A run's settings, with config's defaults and rules (solver_problems)."""
     epsilon: float
-    dt_init: float = 1e-3
-    dt_min: float = 1e-12
-    dt_max: float = 5e-2
-    t_end: float = 5.0
-    sup_cap: float | None = None  # None: min(1e4 * initial sup, 0.8 * max(Phi)/eps)
-    snapshot_stride: int = 10
+    dt_init: float = solver_default("dt_init")
+    dt_min: float = solver_default("dt_min")
+    dt_max: float = solver_default("dt_max")
+    t_end: float = solver_default("t_end")
+    sup_cap: float = solver_default("sup_cap")  # 0: the automatic cap, see run
+    snapshot_stride: int = solver_default("snapshot_stride")
     # dt <= reaction_cap_c / max(rho, 1); 0.5 suffices for stability, smaller
     # values resolve the energy growth for tight identity checks near blow-up.
-    reaction_cap_c: float = 0.5
+    reaction_cap_c: float = solver_default("reaction_cap_c")
 
     def validate(self) -> None:
-        for name in ("epsilon", "sup_cap", "t_end"):  # NaN fails no comparison
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
-                f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
-            )
-        if self.sup_cap is not None and self.sup_cap <= self.epsilon:
-            raise ValueError("sup_cap must exceed epsilon")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be a positive integer")
-        if not (0.0 < self.reaction_cap_c <= 0.5):
-            raise ValueError("reaction_cap_c must lie in (0, 0.5]")
+        refuse(solver_problems(vars(self)))
 
 
 @dataclass
@@ -368,15 +354,19 @@ def run(u0eps: Field, params: SolverParams,
         raise ValueError("initial data must equal epsilon on the boundary")
     if torsion is None:
         torsion = solve_torsion(grid)
-    sup_cap = params.sup_cap if params.sup_cap is not None else \
-        min(1e4 * float(np.max(u0eps.values)), 0.8 * torsion.max_phi / eps)
+    sup0 = float(np.max(u0eps.values))
+    sup_cap = params.sup_cap or min(1e4 * sup0, 0.8 * torsion.max_phi / eps)
+    if sup_cap <= sup0:  # the run would end BlowUp before its first step
+        raise ValueError(
+            f"sup cap {sup_cap:.6g} does not exceed the initial sup norm "
+            f"{sup0:.6g}; lower solver.epsilon or set solver.sup_cap above it")
 
     workspace = _Workspace(grid)
     weights = grid.quad_weights
     index, phi = torsion.positive_set
     e0 = dirichlet_energy(u0eps, eps)
     state = SolverState(t=0.0, u=u0eps.values.copy(), dt=params.dt_init, energy=e0,
-                        rho_value=rho_eps(e0, eps), sup=float(np.max(u0eps.values)))
+                        rho_value=rho_eps(e0, eps), sup=sup0)
     rows = []
 
     # Each state's reductions are taken once, from its plain array: the mass

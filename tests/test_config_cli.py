@@ -185,7 +185,9 @@ def test_failed_tolerance_gives_exit_2(tmp_path, monkeypatch):
 
 
 def test_module_error_gives_exit_1(tmp_path):
-    cfg = parse_config(FAST_RUN).with_value("diagnostics.margin", 0.499)
+    # at epsilon 0.3 the automatic sup cap does not exceed the initial sup
+    # norm, which run refuses
+    cfg = parse_config(FAST_RUN).with_value("solver.epsilon", 0.3)
     code, summary = run_experiment(cfg, str(tmp_path / "err"))
     assert code == 1
     assert summary["outcome"] == "Error"
@@ -254,7 +256,7 @@ def test_sweep_refuses_the_grid_size_axis(tmp_path, capsys):
 
 
 def test_sweep_records_individual_failures(tmp_path):
-    cfg = parse_config(FAST_RUN).with_value("diagnostics.margin", 0.499)
+    cfg = parse_config(FAST_RUN).with_value("solver.epsilon", 0.3)
     spec = SweepSpec(base=cfg, axis="initial_mass", values=[0.5])
     code, rows = run_sweep(spec, str(tmp_path / "sf"))
     assert code == 1
@@ -703,3 +705,115 @@ def test_sup_cap_at_or_below_epsilon_is_a_config_error(cap, tmp_path, capsys):
     assert "line 2: key 'solver.sup_cap'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     assert parse_config("solver.sup_cap = 1.001e-3\n")["solver.sup_cap"] == 1.001e-3
+
+
+def test_sup_cap_at_or_below_the_initial_sup_is_refused_by_run(tmp_path, capsys):
+    # the automatic cap min(1e4 sup0, 0.8 max(phi)/eps) is 0.333 at epsilon
+    # 0.3 and the initial sup norm 1.05; the run used to end BlowUp after 0
+    # steps and exit 1 on "mass ODE residual needs at least 3 trace rows"
+    text = FAST_RUN.replace("solver.epsilon = 1e-3", "solver.epsilon = 0.3")
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "outcome=Error exit=1\n"
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert re.search(r"sup cap 0\.33\d* does not exceed the initial sup norm 1\.0", error)
+    assert "solver.epsilon" in error and "solver.sup_cap" in error
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def test_margin_that_leaves_too_few_nodes_is_a_config_error(tmp_path, capsys):
+    # at 11 nodes a margin of 0.45 keeps one node per axis; it used to parse,
+    # simulate and write trace.csv, then end Error with no key and no line
+    text = "grid.n = 11\ndiagnostics.margin = 0.45\n"
+    with pytest.raises(ConfigError, match=r"line 2: key 'diagnostics.margin': .*"
+                                          r"0\.45 leaves 1$"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match="key 'diagnostics.margin'"):
+        parse_config("grid.n = 11\n").with_value("diagnostics.margin", 0.45)
+    assert main(["run", "--config", _write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "line 2: key 'diagnostics.margin'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert parse_config("grid.n = 11\ndiagnostics.margin = 0.4\n")
+
+
+# One value per side of each grid, solver and sub-box rule; the parser and the
+# library must refuse the same ones.
+GRID_VALUES = [
+    ("grid.dimension", "3", False), ("grid.dimension", "2", True),
+    ("grid.extents", "1.0 1.0", False), ("grid.extents", "0", False),
+    ("grid.extents", "-1", False), ("grid.extents", "inf", False),
+    ("grid.extents", "nan", False), ("grid.extents", "2.5", True),
+    ("grid.n", "51 51", False), ("grid.n", "2", False), ("grid.n", "5", True),
+]
+SOLVER_VALUES = [
+    ("solver.epsilon", "1.5", False), ("solver.epsilon", "1", False),
+    ("solver.epsilon", "0", False), ("solver.epsilon", "-1", False),
+    ("solver.epsilon", "nan", False), ("solver.epsilon", "0.99", True),
+    ("solver.dt_init", "0", False), ("solver.dt_init", "1e-13", False),
+    ("solver.dt_init", "0.06", False), ("solver.dt_init", "1e-12", True),
+    ("solver.dt_max", "1e-4", False), ("solver.dt_max", "inf", False),
+    ("solver.dt_max", "1e-3", True),
+    ("solver.t_end", "0", False), ("solver.t_end", "-inf", False),
+    ("solver.t_end", "1e-9", True),
+    ("solver.sup_cap", "-1", False), ("solver.sup_cap", "1e-3", False),
+    ("solver.sup_cap", "nan", False), ("solver.sup_cap", "0", True),
+    ("solver.sup_cap", "1.001e-3", True),
+    ("solver.snapshot_stride", "0", False), ("solver.snapshot_stride", "1", True),
+    ("solver.reaction_cap_c", "0", False), ("solver.reaction_cap_c", "0.6", False),
+    ("solver.reaction_cap_c", "0.5", True),
+]
+MARGIN_VALUES = [("0.45", False), ("0", False), ("-0.1", False), ("0.4", True)]
+# the rule 0 < dt_min <= dt_init <= dt_max is reported under solver.dt_init
+REPORTED_AS = {("solver.dt_max", "1e-4"): "solver.dt_init"}
+
+
+def _parse_refuses(key: str, value: str, first_line: str = "grid.n = 51") -> bool:
+    """Whether the parser refuses ``key = value`` on line 2, by key and line."""
+    try:
+        parse_config(f"{first_line}\n{key} = {value}\n")
+    except ConfigError as exc:
+        reported = REPORTED_AS.get((key, value), key)
+        line = "line 2: " if reported == key else ""
+        assert str(exc).startswith(f"{line}key '{reported}'"), exc
+        return True
+    return False
+
+
+@pytest.mark.parametrize("key, value, usable", GRID_VALUES)
+def test_parser_and_build_grid_refuse_the_same_grid_values(key, value, usable):
+    assert _parse_refuses(key, value) is not usable
+    settings = {"grid.dimension": 1, "grid.extents": [1.0], "grid.n": [51]}
+    settings[key] = config_mod._convert(key, config_mod._SCHEMA[key][0], value, 0)
+    if key == "grid.dimension":  # the parser's one value per axis
+        settings["grid.extents"] *= settings[key]
+        settings["grid.n"] *= settings[key]
+    if usable:
+        rd.build_grid(*settings.values())
+    else:
+        with pytest.raises(ValueError, match=re.escape(key)):
+            rd.build_grid(*settings.values())
+
+
+@pytest.mark.parametrize("key, value, usable", SOLVER_VALUES)
+def test_parser_and_solver_params_refuse_the_same_solver_values(key, value, usable):
+    assert _parse_refuses(key, value) is not usable
+    field = key.removeprefix("solver.")
+    params = solver_params_from_config(parse_config("grid.n = 51\n"))
+    setattr(params, field, config_mod._convert(key, config_mod._SCHEMA[key][0], value, 0))
+    if usable:
+        params.validate()
+    else:
+        with pytest.raises(ValueError, match=re.escape(REPORTED_AS.get((key, value), key))):
+            params.validate()
+
+
+@pytest.mark.parametrize("value, usable", MARGIN_VALUES)
+def test_parser_and_subdomain_solve_refuse_the_same_margins(value, usable):
+    assert _parse_refuses("diagnostics.margin", value, "grid.n = 11") is not usable
+    grid = rd.build_grid(1, [1.0], [11])
+    if usable:
+        rd.solve_torsion_subdomain(grid, float(value))
+    else:
+        with pytest.raises(ValueError, match="diagnostics.margin"):
+            rd.solve_torsion_subdomain(grid, float(value))

@@ -1,12 +1,14 @@
 """Design guards: no config key that nothing reads, one atomic artifact
 writer, one owner of the singular time, one assembly of the Laplacian, no
 reads of mesh's private names outside mesh, the removed config keys and
-values rejected by name, README's key table in step with the schema and its
+values rejected by name, SolverParams' fields and defaults those of the
+solver keys, README's key table in step with the schema and its
 CLI block in step with the parser, no import that only a rarely used path
 needs, a time step on plain arrays, no dead private helper or unused import,
 and no public name that only the tests reach."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 from replidyn import config
 from replidyn.cli import build_parser
 from replidyn.config import ConfigError, parse_config
+from replidyn.solver import SolverParams
 
 SRC = Path(config.__file__).resolve().parent
 
@@ -123,6 +126,7 @@ RETIRED = {
     "diagnostics.phi_norm_slack": "0.05", "replicator.strategies": "3",
     "replicator.sigma": "0.05", "replicator.grid_n": "201",
     "solver.trace_stride": "1", "init.profile": "torsion",
+    "solver.dt_min": "1e-12",
 }
 
 
@@ -139,6 +143,17 @@ RETIRED = {
 def test_removed_keys_and_values_are_rejected(key, value):
     with pytest.raises(ConfigError, match=rf"line 2: .*{re.escape(key)}"):
         parse_config(f"grid.n = 51\n{key} = {value}\n")
+
+
+def test_solver_params_fields_are_the_solver_keys():
+    # and dt_min, the step floor that only library callers set; every other
+    # default is its key's, and epsilon has none
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverParams)}
+    assert defaults.pop("dt_min") == 1e-12
+    assert defaults.pop("epsilon") is dataclasses.MISSING
+    assert {f"solver.{name}": default for name, default in defaults.items()} == {
+        key: default for key, (_, default) in config._SCHEMA.items()
+        if key.startswith("solver.") and key != "solver.epsilon"}
 
 
 def _readme_table(header: str) -> dict:

@@ -1,6 +1,7 @@
 """Time stepper: scheme definitions, invariants, outcomes, and a-priori bounds."""
 
 import hashlib
+import re
 from dataclasses import fields, replace
 
 import hypothesis.extra.numpy as hnp
@@ -322,6 +323,26 @@ def test_run_refuses_a_nan_sup_cap():
     u0 = rd.torsion_profile(g, 1.5, EPS, tor)
     with pytest.raises(ValueError, match="sup_cap"):
         rd.run(u0, rd.SolverParams(epsilon=EPS, sup_cap=np.nan), tor)
+
+
+@pytest.mark.parametrize("dimension, n, mass, eps, sup_cap, cap, sup0", [
+    (1, 201, 0.5, 0.3, 0.0, 0.333, 1.05),  # sup_cap 0: the automatic cap
+    (2, 41, 0.5, 0.1, 0.0, 0.589, 1.15),
+    (1, 201, 1.5, 0.05, 0.0, 2.0, 2.30),
+    (1, 51, 1.5, EPS, 2.0, 2.0, 2.25),
+])
+def test_run_refuses_a_sup_cap_that_does_not_exceed_the_initial_sup(
+        dimension, n, mass, eps, sup_cap, cap, sup0):
+    # the run used to end BlowUp after 0 steps
+    g = build_grid(dimension, [1.0] * dimension, [n] * dimension)
+    tor = rd.solve_torsion(g)
+    u0 = rd.torsion_profile(g, mass, eps, tor)
+    with pytest.raises(ValueError) as err:
+        rd.run(u0, rd.SolverParams(epsilon=eps, sup_cap=sup_cap), tor)
+    message = str(err.value)
+    numbers = re.match(r"sup cap (\S+) does not exceed the initial sup norm "
+                       r"(\S+); lower solver\.epsilon or set solver\.sup_cap", message)
+    assert [float(x) for x in numbers.groups()] == pytest.approx([cap, sup0], abs=5e-3)
 
 
 def test_small_2d_run_completes():
