@@ -13,12 +13,13 @@ import numpy as np
 
 import replidyn as rd
 from replidyn import diagnostics as diag
+from replidyn.config import SUBBOX_MARGIN
 
 EPS = 1e-3
 
 grid = rd.build_grid(1, [1.0], [201])
 torsion = rd.solve_torsion(grid)
-subdomain = rd.solve_torsion_subdomain(grid, 0.25)
+subdomain = rd.solve_torsion_subdomain(grid, SUBBOX_MARGIN)
 
 u0 = rd.torsion_profile(grid, 1.5, EPS, torsion)
 params = rd.SolverParams(epsilon=EPS, t_end=5.0, dt_init=1e-4, dt_max=0.05,
@@ -47,6 +48,6 @@ keep = [(t, f) for (t, f) in result.snapshots
 times, ok, lhs, rhs = diag.gradient_bound_check(trace, keep, subdomain, u0)
 print(f"gradient bound    : {int(np.sum(ok))}/{len(ok)} snapshots pass")
 
-conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25, u0, trace)
+conc = diag.boundary_concentration(result.snapshots, 0.5, SUBBOX_MARGIN, u0, trace)
 print(f"boundary weight   : lhs {conc.lhs:.4g} <= bound {conc.bound:.4g}; "
       f"collar energy {conc.collar_energy:.4g} <= {conc.collar_bound:.4g}")

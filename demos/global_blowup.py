@@ -11,6 +11,7 @@ Run:  python demos/global_blowup.py
 
 import replidyn as rd
 from replidyn import blowup
+from replidyn.config import SUBBOX_MARGIN
 
 grid = rd.build_grid(1, [1.0], [201])
 torsion = rd.solve_torsion(grid)
@@ -32,8 +33,8 @@ print(f"Poincare upper bound on the blow-up time: {bound:.4f} "
 
 report = blowup.blowup_set_estimate(result.snapshots)
 print(f"fraction of interior nodes blowing up: {report.blowup_set_fraction:.4f}")
-print(f"minimum growth factor over the margin-0.25 core: "
-      f"{report.core_min_growth[0.25]:.1f}")
+print(f"minimum growth factor over the margin-{SUBBOX_MARGIN:g} core: "
+      f"{report.core_min_growth[SUBBOX_MARGIN]:.1f}")
 print()
 print("Growth factors by position (boundary-adjacent nodes grow too -- the")
 print("blow-up set is the whole domain):")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SUBBOX_MARGIN, subbox_nodes
 from .diagnostics import Trace
 from .elliptic import measure_poincare_constant
-from .mesh import distance_to_boundary
 
 __all__ = [
     "BlowupReport",
@@ -31,11 +31,10 @@ __all__ = [
 # estimate_tmax needs this many usable rows; blowup_set_estimate compares the
 # snapshots nearest these fractions of the last snapshot time, counts a node
 # as blowing up once it has grown by GROWTH_THRESHOLD, and reports the least
-# growth over the nodes at least CORE_MARGIN from the boundary.
+# growth over config's interior box, SUBBOX_MARGIN inside the boundary.
 MIN_TMAX_ROWS = 10
 CHECKPOINT_FRACTIONS = (0.5, 0.7, 0.85, 0.95, 1.0)
 GROWTH_THRESHOLD = 10.0
-CORE_MARGIN = 0.25
 
 
 @dataclass
@@ -80,7 +79,7 @@ def blowup_set_estimate(snapshots) -> BlowupReport:
 
     A node blows up when its value is increasing over the final checkpoints
     and its total growth factor reaches GROWTH_THRESHOLD.  Also reports the
-    minimum growth factor over the core box CORE_MARGIN inside the boundary
+    minimum growth factor over the core box SUBBOX_MARGIN inside the boundary
     (global blow-up means the fraction is ~1 and core growth is large).
     """
     if len(snapshots) < 3:
@@ -104,8 +103,8 @@ def blowup_set_estimate(snapshots) -> BlowupReport:
     blowing = increasing & (final_growth >= GROWTH_THRESHOLD)
     fraction = float(blowing[interior].sum() / interior.sum())
 
-    core = distance_to_boundary(grid) >= CORE_MARGIN - 1e-12
-    core_min = {CORE_MARGIN: float(final_growth[core].min())} if core.any() else {}
+    core = final_growth[np.ix_(*subbox_nodes(grid.extents, grid.n, SUBBOX_MARGIN))]
+    core_min = {SUBBOX_MARGIN: float(core.min())} if core.size else {}
 
     return BlowupReport(
         blowup_set_fraction=fraction, core_min_growth=core_min,

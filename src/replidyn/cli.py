@@ -1,7 +1,8 @@
 """Command-line surface: run, sweep, verify, blowup, replicator.
 
-All subcommands read the flat key=value config format; the REPLIDYN_OUT
-environment variable overrides the output root.  Exit codes: 0 success,
+All subcommands read the flat key=value config format (verify and blowup only
+its grid: the rest comes from the stored run); the REPLIDYN_OUT environment
+variable overrides the output root.  Exit codes: 0 success,
 1 module error or usage error (argparse's message, as for an unknown
 subcommand), 2 a verification check failed its tolerance.
 """
@@ -50,10 +51,14 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def _recorded_run(trace_path: str) -> tuple[float, float, float]:
-    """ε, |Ω| and the sup cap the run used, from the summary.json beside its trace."""
+def _stored_run(args, pick=None):
+    """The run stored at --trace and --snapshots, as (trace, snapshots, grid,
+    sup cap): the grid from --config, and ε, |Ω| and the sup cap the run used
+    from the summary.json beside its trace; ``pick`` as in read_snapshots."""
+    cfg = _load_config(args.config)
+    grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
     keys = ("epsilon", "omega_measure", "sup_cap")
-    path = os.path.join(os.path.dirname(os.path.abspath(trace_path)), "summary.json")
+    path = os.path.join(os.path.dirname(os.path.abspath(args.trace)), "summary.json")
     if not os.path.exists(path):
         raise ValueError(f"{path} not found: the run's {', '.join(keys)} "
                          f"are read from the summary.json beside --trace")
@@ -62,22 +67,17 @@ def _recorded_run(trace_path: str) -> tuple[float, float, float]:
     for key in keys:
         if key not in summary:
             raise ValueError(f"{path} records no {key}")
-    return tuple(float(summary[key]) for key in keys)
+    eps, omega_measure, sup_cap = (float(summary[key]) for key in keys)
+    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
+    return trace, read_snapshots(args.snapshots, grid, pick=pick), grid, sup_cap
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    eps, omega_measure, sup_cap = _recorded_run(args.trace)
-    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
-    snapshots = read_snapshots(args.snapshots, grid)
+    trace, snapshots, _, sup_cap = _stored_run(args)
     if not snapshots:
         raise ValueError(f"{args.snapshots}: no records")
-    u0eps = snapshots[0][1]
-
     checks = args.checks.split(",") if args.checks else None
-    rows, ok = diagnostics_rows(cfg, trace, snapshots, sup_cap, u0eps,
-                                checks=checks)
+    rows, ok = diagnostics_rows(trace, snapshots, sup_cap, checks=checks)
     text = csv_text(DIAGNOSTICS_HEADER, rows)
     if args.out:
         atomic_write_text(args.out, text)
@@ -86,12 +86,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    cfg = _load_config(args.config)
-    grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
-    eps, omega_measure, _ = _recorded_run(args.trace)
-    trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
-    snapshots = read_snapshots(args.snapshots, grid, pick=checkpoint_indices)
-
+    trace, snapshots, grid, _ = _stored_run(args, pick=checkpoint_indices)
     text = csv_text(["metric", "value"], blowup_metrics(trace, snapshots, grid))
     if args.out:
         atomic_write_text(args.out, text)

@@ -10,10 +10,11 @@ Unknown keys, type mismatches, and invariant violations raise ConfigError
 carrying the key name and line number.  Defaults are applied for everything
 not mentioned.
 
-The grid, solver and sub-box rules are stated here once: ``grid_problems``,
-``solver_problems`` and ``margin_problems`` yield (key, reason) for each value
-no run can use, and ``refuse`` raises the first.  mesh.build_grid,
-SolverParams and elliptic.solve_torsion_subdomain apply them too.
+The grid, solver, mass and sub-box rules are stated here once: each
+``*_problems`` function yields (key, reason) for each value no run can use,
+``refuse`` raises the first, and the library's entry points apply them too.
+The interior box of the estimate checks and of the blow-up core lies
+SUBBOX_MARGIN inside the boundary, a property of the harness, not of a run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "solver.sup_cap": ("float", 0.0),        # 0 = auto
     "solver.snapshot_stride": ("int", 10),
     "solver.reaction_cap_c": ("float", 0.5),
-    "diagnostics.margin": ("float", 0.25),
     "replicator.payoff": ("str", "coordination"),
     "replicator.t_end": ("float", 10.0),
     "replicator.dt": ("float", 0.01),
@@ -55,7 +55,6 @@ SWEEP_AXES = {
     "initial_mass": "init.mass",
     "epsilon": "solver.epsilon",
     "dt_init": "solver.dt_init",
-    "margin": "diagnostics.margin",
 }
 
 
@@ -149,6 +148,24 @@ def solver_default(name: str):
     return 1e-12 if name == "dt_min" else _SCHEMA[f"solver.{name}"][1]
 
 
+def epsilon_problems(eps: float):
+    """Yield (key, reason) unless ``eps`` lies in (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        yield "solver.epsilon", f"must lie in (0,1), got {eps}"
+
+
+def mass_problems(mass: float):
+    """Yield (key, reason) unless the corrected mass is finite and positive."""
+    if not 0.0 < mass < math.inf:
+        yield "init.mass", f"must be finite and positive, got {mass}"
+
+
+def solver_settings(values: dict) -> dict:
+    """The solver.* keys of ``values`` by their SolverParams field names."""
+    return {key.removeprefix("solver."): value for key, value in values.items()
+            if key.startswith("solver.")}
+
+
 def solver_problems(params: dict):
     """Yield (key, reason) for each solver setting no run can use; ``params``
     maps every field of SolverParams to its value."""
@@ -156,8 +173,7 @@ def solver_problems(params: dict):
         if not math.isfinite(value):
             yield f"solver.{name}", f"must be finite, got {value}"
     eps, cap = params["epsilon"], params["sup_cap"]
-    if not 0.0 < eps < 1.0:
-        yield "solver.epsilon", f"must lie in (0,1), got {eps}"
+    yield from epsilon_problems(eps)
     if not 0 < params["dt_min"] <= params["dt_init"] <= params["dt_max"]:
         yield "solver.dt_init", "need 0 < dt_min <= dt_init <= dt_max"
     if params["t_end"] <= 0:
@@ -169,6 +185,9 @@ def solver_problems(params: dict):
         yield "solver.snapshot_stride", "must be a positive integer"
     if not 0 < params["reaction_cap_c"] <= 0.5:
         yield "solver.reaction_cap_c", "must lie in (0, 0.5]"
+
+
+SUBBOX_MARGIN = 0.25
 
 
 def subbox_nodes(extents, n, margin: float) -> list[list[int]]:
@@ -183,8 +202,8 @@ def margin_problems(extents, n, margin: float):
     """Yield (key, reason) unless ``margin`` leaves a sub-box to solve on."""
     kept = min(map(len, subbox_nodes(extents, n, margin)))
     if margin <= 0 or kept < 3:
-        yield "diagnostics.margin", (f"must be positive and leave at least 3 nodes "
-                                     f"per axis of the sub-box; {margin} leaves {kept}")
+        yield "grid.n", (f"need at least 3 nodes per axis of the box {margin} inside "
+                         f"the boundary (a positive margin); it keeps {kept}")
 
 
 def _problems(v: dict):
@@ -195,11 +214,9 @@ def _problems(v: dict):
             if not all(map(math.isfinite, v[key] if kind == "floats" else [v[key]])):
                 yield key, f"must be finite, got {v[key]}"
     yield from grid_problems(v["grid.dimension"], v["grid.extents"], v["grid.n"])
-    solver = {key.removeprefix("solver."): v[key] for key in v if key.startswith("solver.")}
-    yield from solver_problems({"dt_min": solver_default("dt_min"), **solver})
-    if v["init.mass"] <= 0:
-        yield "init.mass", "must be positive"
-    yield from margin_problems(v["grid.extents"], v["grid.n"], v["diagnostics.margin"])
+    yield from solver_problems({"dt_min": solver_default("dt_min"), **solver_settings(v)})
+    yield from mass_problems(v["init.mass"])
+    yield from margin_problems(v["grid.extents"], v["grid.n"], SUBBOX_MARGIN)
     if len(v["replicator.p0"]) == 1:
         yield "replicator.p0", "need at least 2 strategies"
     if v["replicator.payoff"] not in ("coordination", "laplacian"):

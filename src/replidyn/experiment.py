@@ -7,9 +7,9 @@ solver, the estimate checks, and blow-up classification, writing
     summary.json
 
 into its output directory; the initial data is the first record of
-snapshots.ndjson.  Every file goes through ``atomic_write_text``
-(a fresh file, then os.replace), and every LF-terminated CSV is rendered by
-``csv_text``.
+snapshots.ndjson, where the checks read it.  Every file goes through
+``atomic_write_text`` (a fresh file, then os.replace), and every LF-terminated
+CSV is rendered by ``csv_text``.
 Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance.
 Sweeps run independent configurations with bounded parallelism; per-run
 outputs are deterministic and independent of scheduling order.
@@ -28,14 +28,15 @@ import numpy as np
 
 from . import diagnostics as diag
 from .blowup import blowup_metrics
-from .config import ExperimentConfig, SweepSpec, sweep_tag
+from .config import (SUBBOX_MARGIN, ExperimentConfig, SweepSpec, solver_settings,
+                     sweep_tag)
 from .elliptic import solve_torsion, solve_torsion_subdomain
 from .initdata import torsion_profile
 from .mesh import build_grid, write_snapshots
 from .solver import SolverParams, run
 
 __all__ = ["run_experiment", "run_sweep", "atomic_write_text", "csv_text",
-           "output_dir", "diagnostics_rows", "solver_params_from_config"]
+           "output_dir", "diagnostics_rows"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,19 +87,11 @@ def csv_text(header: list[str], rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
-def solver_params_from_config(cfg: ExperimentConfig) -> SolverParams:
-    """The solver.* keys as SolverParams fields; dt_min keeps its default."""
-    return SolverParams(**{key.removeprefix("solver."): cfg[key] for key in (
-        "solver.epsilon", "solver.dt_init", "solver.dt_max", "solver.t_end",
-        "solver.sup_cap", "solver.snapshot_stride", "solver.reaction_cap_c")})
-
-
-def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
-                     u0eps, checks=None):
+def diagnostics_rows(trace, snapshots, sup_cap: float, checks=None):
     """Evaluate the estimate checks; returns (rows, all_passed).
 
-    Rows follow the verify CSV contract (DIAGNOSTICS_HEADER): check, t,
-    value, bound as Python floats, and pass.
+    Rows follow the verify CSV contract (DIAGNOSTICS_HEADER): check, t, value,
+    bound as Python floats, and pass; the first snapshot is the initial data.
     Identity checks are evaluated on rows where the capped coefficient is
     unsaturated and the sup norm is below half the run's blow-up cap
     ``sup_cap``; past that window the regularized dynamics leave the regime
@@ -139,9 +132,9 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
         rows.append(["phi_norm", trace.t[-1], float(np.mean(ok_rows)), 1.0, ok])
         all_ok &= ok
 
-    margin = cfg["diagnostics.margin"]
+    u0eps = snapshots[0][1] if snapshots else None  # the trace checks need none
     if "gradient_bound" in checks:
-        sub = solve_torsion_subdomain(u0eps.grid, margin)
+        sub = solve_torsion_subdomain(u0eps.grid, SUBBOX_MARGIN)
         keep = [(t, f) for (t, f) in snapshots
                 if float(np.max(f.values)) < 0.5 * sup_cap]
         if len(keep) >= 2:
@@ -153,7 +146,7 @@ def diagnostics_rows(cfg: ExperimentConfig, trace, snapshots, sup_cap: float,
 
     if "boundary_concentration" in checks:
         conc = diag.boundary_concentration(snapshots, CONCENTRATION_Q,
-                                           margin, u0eps, trace)
+                                           SUBBOX_MARGIN, u0eps, trace)
         ok = (conc.lhs <= conc.bound * (1.0 + BOUND_SLACK) + 1e-12
               and conc.collar_energy <= conc.collar_bound * (1.0 + BOUND_SLACK) + 1e-12)
         rows.append(["boundary_concentration", trace.t[-1], conc.lhs, conc.bound, ok])
@@ -169,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
         torsion = solve_torsion(grid)
         u0eps = torsion_profile(grid, cfg["init.mass"], cfg["solver.epsilon"], torsion)
-        params = solver_params_from_config(cfg)
+        params = SolverParams(**solver_settings(cfg.values))  # dt_min: its default
         result = run(u0eps, params, torsion)
 
         atomic_write_text(os.path.join(out_dir, "trace.csv"), result.trace.to_csv)
@@ -193,8 +186,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
             "cg_iterations": result.cg_iterations,
             "start_fallbacks": result.start_fallbacks,
         }
-        rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
-                                    result.sup_cap, u0eps)
+        rows, ok = diagnostics_rows(result.trace, result.snapshots, result.sup_cap)
         atomic_write_text(os.path.join(out_dir, "diagnostics.csv"),
                           csv_text(DIAGNOSTICS_HEADER, rows))
         summary["diagnostics_passed"] = ok

@@ -10,14 +10,11 @@ epsilon-sequence check.
 
 from __future__ import annotations
 
+from .config import mass_problems, refuse
 from .elliptic import TorsionSolution, solve_torsion
 from .mesh import Field, Grid, integrate
 
-__all__ = ["InitDataError", "torsion_profile"]
-
-
-class InitDataError(ValueError):
-    pass
+__all__ = ["torsion_profile"]
 
 
 def torsion_profile(grid: Grid, corrected_mass: float, epsilon: float,
@@ -28,8 +25,7 @@ def torsion_profile(grid: Grid, corrected_mass: float, epsilon: float,
     solver invariants (boundary value eps, floor eps) exactly, and its
     eps-offset-corrected mass equals ``corrected_mass`` to roundoff.
     """
-    if corrected_mass <= 0:
-        raise InitDataError(f"corrected mass must be positive, got {corrected_mass}")
+    refuse(mass_problems(corrected_mass))
     if torsion is None:
         torsion = solve_torsion(grid)
     scale = corrected_mass / integrate(torsion.phi)

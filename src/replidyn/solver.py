@@ -72,7 +72,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
-from .config import refuse, solver_default, solver_problems
+from .config import epsilon_problems, refuse, solver_default, solver_problems
 from .diagnostics import Trace
 from .elliptic import TorsionSolution, solve_torsion
 from .mesh import Field, Grid, dirichlet_energy, dirichlet_laplacian, edge_energy
@@ -98,8 +98,7 @@ DECAY_THRESHOLD = 0.05  # Decayed: corrected mass below this fraction of its sta
 
 def rho_eps(z: float, epsilon: float) -> float:
     """Capped nonlocal coefficient min(z, 1/epsilon); 1-Lipschitz, nondecreasing."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    refuse(epsilon_problems(epsilon))
     if z < 0.0:
         raise ValueError(f"rho_eps expects a nonnegative argument, got {z}")
     return min(z, 1.0 / epsilon)

@@ -24,7 +24,6 @@ from replidyn import diagnostics as diag
 from replidyn import mesh
 from replidyn.diagnostics import Trace, _trapz_accum
 from replidyn.elliptic import TorsionSolution, solve_torsion
-from replidyn.initdata import InitDataError
 from replidyn.mesh import Field, Grid, dirichlet_energy, integrate
 
 EPS = 1e-3
@@ -324,6 +323,10 @@ def config_to_text(cfg: config.ExperimentConfig) -> str:
 # and for target data with large Dirichlet energy the quadratic loses its real
 # root.  Criterion 8 checks that an eps-sequence of constructions converges;
 # runs start from ``torsion_profile``.
+
+
+class InitDataError(ValueError):
+    """The construction refuses its input (raised only by this oracle)."""
 
 
 def phi_weighted_sup(v: Field | np.ndarray, torsion: TorsionSolution) -> float:

@@ -17,9 +17,8 @@ import replidyn.experiment as experiment_mod
 import replidyn.mesh as mesh_mod
 import replidyn.solver as solver_mod
 from replidyn.cli import build_parser, main
-from replidyn.config import SWEEP_AXES, ConfigError, SweepSpec, parse_config
-from replidyn.experiment import (diagnostics_rows, run_experiment, run_sweep,
-                                 solver_params_from_config)
+from replidyn.config import SWEEP_AXES, ConfigError, SweepSpec, parse_config, solver_settings
+from replidyn.experiment import diagnostics_rows, run_experiment, run_sweep
 
 from conftest import config_to_text
 
@@ -157,7 +156,7 @@ def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
     grid = rd.build_grid(1, [1.0], cfg["grid.n"])
     torsion = rd.solve_torsion(grid)
     u0 = rd.torsion_profile(grid, cfg["init.mass"], cfg["solver.epsilon"], torsion)
-    result = rd.run(u0, solver_params_from_config(cfg), torsion)
+    result = rd.run(u0, rd.SolverParams(**solver_settings(cfg.values)), torsion)
     factorizations = []
     splu = elliptic_mod.splu
 
@@ -169,12 +168,24 @@ def test_diagnostics_rows_factor_each_subdomain_once(monkeypatch):
     elliptic_mod._solve_poisson_unit_rhs.cache_clear()
     counts = []
     for _ in range(2):
-        rows, ok = diagnostics_rows(cfg, result.trace, result.snapshots,
-                                    result.sup_cap, u0)
+        rows, ok = diagnostics_rows(result.trace, result.snapshots, result.sup_cap)
         assert ok and {r[0] for r in rows} >= {"gradient_bound", "boundary_concentration"}
         counts.append(len(factorizations))
     assert counts[0] >= 1
     assert counts[1] == counts[0]
+
+
+def test_diagnostics_rows_take_the_initial_data_from_the_first_snapshot():
+    # the trace checks need no snapshot; the others read the initial data there
+    cfg = parse_config(FAST_RUN)
+    grid = rd.build_grid(1, [1.0], cfg["grid.n"])
+    u0 = rd.torsion_profile(grid, cfg["init.mass"], cfg["solver.epsilon"])
+    result = rd.run(u0, rd.SolverParams(**solver_settings(cfg.values)))
+    assert result.snapshots[0][1].values.tobytes() == u0.values.tobytes()
+    trace_checks = ["mass_ode", "h_identity", "phi_norm"]
+    rows, ok = diagnostics_rows(result.trace, [], result.sup_cap, trace_checks)
+    assert rows == diagnostics_rows(result.trace, result.snapshots, result.sup_cap,
+                                    trace_checks)[0]
 
 
 def test_failed_tolerance_gives_exit_2(tmp_path, monkeypatch):
@@ -360,33 +371,48 @@ def test_verify_reproduces_diagnostics_of_run(text, tmp_path, capsys):
     assert got == want
 
 
-def test_verify_reads_epsilon_from_the_run(tmp_path, capsys):
-    # a config that disagrees with the run on epsilon must not move the audit
+# Configs on the grid of CANONICAL_BLOWUP that disagree with the run: on
+# epsilon alone, and on every key but the grid's.
+OTHER_RUNS = [
+    CANONICAL_BLOWUP.replace("solver.epsilon = 1e-3", "solver.epsilon = 1e-2"),
+    "grid.n = 201\ninit.mass = 0.5\nsolver.epsilon = 1e-2\nsolver.dt_init = 1e-3\n"
+    "solver.dt_max = 0.01\nsolver.t_end = 1.0\nsolver.sup_cap = 50\n"
+    "solver.snapshot_stride = 3\nsolver.reaction_cap_c = 0.4\n"
+    "replicator.payoff = laplacian\nreplicator.t_end = 2.0\nreplicator.dt = 0.1\n"
+    "replicator.p0 = 0.5 0.5\noutput.dir = elsewhere\n",
+]
+
+
+def _audit_with_other_configs(command: str, tmp_path) -> None:
+    """``command`` on a run's artifacts, given each of OTHER_RUNS, writes
+    the file the run wrote byte for byte."""
+    run, other = (parse_config(text).values for text in (CANONICAL_BLOWUP, OTHER_RUNS[1]))
+    assert [key for key in run if run[key] == other[key]] == [
+        "grid.dimension", "grid.extents", "grid.n"]
     out = tmp_path / "run"
     assert main(["run", "--config", _write_cfg(tmp_path, CANONICAL_BLOWUP),
                  "--out", str(out)]) == 0
-    other = _write_cfg(tmp_path, CANONICAL_BLOWUP.replace(
-        "solver.epsilon = 1e-3", "solver.epsilon = 1e-2"), "other")
-    main(["verify", "--config", other, "--trace", str(out / "trace.csv"),
-          "--snapshots", str(out / "snapshots.ndjson"),
-          "--out", str(tmp_path / "verify.csv")])
-    assert ((tmp_path / "verify.csv").read_text()
-            == (out / "diagnostics.csv").read_text())
+    name = {"verify": "diagnostics.csv", "blowup": "blowup.csv"}[command]
+    for k, text in enumerate(OTHER_RUNS):
+        got = tmp_path / f"{command}-{k}.csv"
+        assert main([command, "--config", _write_cfg(tmp_path, text, f"other{k}"),
+                     "--trace", str(out / "trace.csv"),
+                     "--snapshots", str(out / "snapshots.ndjson"),
+                     "--out", str(got)]) == 0
+        assert got.read_bytes() == (out / name).read_bytes(), text
+
+
+def test_verify_reads_epsilon_from_the_run(tmp_path, capsys):
+    # a config that disagrees with the run on anything but the grid must not
+    # move the audit
+    _audit_with_other_configs("verify", tmp_path)
 
 
 def test_blowup_reads_epsilon_from_the_run(tmp_path, capsys):
     # read with a config that says epsilon 1e-2, the run's own blowup.csv comes
     # back byte for byte (taking epsilon from the config moved t_max_estimate
-    # from 0.0367525 to 0.0366249)
-    out = tmp_path / "run"
-    assert main(["run", "--config", _write_cfg(tmp_path, CANONICAL_BLOWUP),
-                 "--out", str(out)]) == 0
-    other = _write_cfg(tmp_path, CANONICAL_BLOWUP.replace(
-        "solver.epsilon = 1e-3", "solver.epsilon = 1e-2"), "other")
-    assert main(["blowup", "--config", other, "--trace", str(out / "trace.csv"),
-                 "--snapshots", str(out / "snapshots.ndjson"),
-                 "--out", str(tmp_path / "blowup.csv")]) == 0
-    assert (tmp_path / "blowup.csv").read_bytes() == (out / "blowup.csv").read_bytes()
+    # from 0.0367525 to 0.0366249), and so with every other non-grid key changed
+    _audit_with_other_configs("blowup", tmp_path)
 
 
 @pytest.mark.parametrize("key", ["epsilon", "omega_measure", "sup_cap"])
@@ -722,19 +748,20 @@ def test_sup_cap_at_or_below_the_initial_sup_is_refused_by_run(tmp_path, capsys)
 
 
 def test_margin_that_leaves_too_few_nodes_is_a_config_error(tmp_path, capsys):
-    # at 11 nodes a margin of 0.45 keeps one node per axis; it used to parse,
-    # simulate and write trace.csv, then end Error with no key and no line
-    text = "grid.n = 11\ndiagnostics.margin = 0.45\n"
-    with pytest.raises(ConfigError, match=r"line 2: key 'diagnostics.margin': .*"
-                                          r"0\.45 leaves 1$"):
+    # at 4 nodes the box SUBBOX_MARGIN = 0.25 inside the boundary keeps 2 nodes
+    # per axis, too few for its torsion solve; the grid is refused at its line
+    # before any run, as a too-large margin was while margin was a key
+    text = "init.mass = 0.5\ngrid.n = 4\n"
+    with pytest.raises(ConfigError, match=r"line 2: key 'grid.n': .*"
+                                          r"box 0\.25 inside .* keeps 2$"):
         parse_config(text)
-    with pytest.raises(ConfigError, match="key 'diagnostics.margin'"):
-        parse_config("grid.n = 11\n").with_value("diagnostics.margin", 0.45)
+    with pytest.raises(ConfigError, match="key 'grid.n'"):
+        parse_config("grid.n = 11\n").with_value("grid.n", [4])
     assert main(["run", "--config", _write_cfg(tmp_path, text),
                  "--out", str(tmp_path / "run")]) == 1
-    assert "line 2: key 'diagnostics.margin'" in capsys.readouterr().err
+    assert "line 2: key 'grid.n'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    assert parse_config("grid.n = 11\ndiagnostics.margin = 0.4\n")
+    assert parse_config("init.mass = 0.5\ngrid.n = 5\n")
 
 
 # One value per side of each grid, solver and sub-box rule; the parser and the
@@ -799,7 +826,7 @@ def test_parser_and_build_grid_refuse_the_same_grid_values(key, value, usable):
 def test_parser_and_solver_params_refuse_the_same_solver_values(key, value, usable):
     assert _parse_refuses(key, value) is not usable
     field = key.removeprefix("solver.")
-    params = solver_params_from_config(parse_config("grid.n = 51\n"))
+    params = rd.SolverParams(**solver_settings(parse_config("grid.n = 51\n").values))
     setattr(params, field, config_mod._convert(key, config_mod._SCHEMA[key][0], value, 0))
     if usable:
         params.validate()
@@ -809,11 +836,34 @@ def test_parser_and_solver_params_refuse_the_same_solver_values(key, value, usab
 
 
 @pytest.mark.parametrize("value, usable", MARGIN_VALUES)
-def test_parser_and_subdomain_solve_refuse_the_same_margins(value, usable):
-    assert _parse_refuses("diagnostics.margin", value, "grid.n = 11") is not usable
+def test_parser_and_subdomain_solve_refuse_the_same_margins(value, usable, monkeypatch):
+    # the parser applies the sub-box rule at SUBBOX_MARGIN and reports it at grid.n
+    monkeypatch.setattr(config_mod, "SUBBOX_MARGIN", float(value))
+    assert _parse_refuses("grid.n", "11", "init.mass = 0.5") is not usable
     grid = rd.build_grid(1, [1.0], [11])
     if usable:
         rd.solve_torsion_subdomain(grid, float(value))
     else:
-        with pytest.raises(ValueError, match="diagnostics.margin"):
+        with pytest.raises(ValueError, match="grid.n"):
             rd.solve_torsion_subdomain(grid, float(value))
+
+
+@pytest.mark.parametrize("key, value, usable", [
+    ("solver.epsilon", "1.5", False), ("solver.epsilon", "1", False),
+    ("solver.epsilon", "0", False), ("solver.epsilon", "nan", False),
+    ("solver.epsilon", "0.99", True),
+    ("init.mass", "0", False), ("init.mass", "-1", False),
+    ("init.mass", "inf", False), ("init.mass", "nan", False),
+    ("init.mass", "1e-9", True),
+])
+def test_parser_rho_eps_and_torsion_profile_refuse_the_same_values(key, value, usable):
+    # rho_eps(0.5, 1.5) returned 0.5, and torsion_profile took an infinite mass
+    assert _parse_refuses(key, value) is not usable
+    grid = rd.build_grid(1, [1.0], [51])
+    apply = {"solver.epsilon": lambda v: rd.rho_eps(0.5, v),
+             "init.mass": lambda v: rd.torsion_profile(grid, v, 1e-3)}[key]
+    if usable:
+        apply(float(value))
+    else:
+        with pytest.raises(ValueError, match=re.escape(key)):
+            apply(float(value))

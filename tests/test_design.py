@@ -30,10 +30,17 @@ def _sources():
 
 
 def test_every_config_key_is_read_outside_config():
-    others = [text for name, text in _sources().items() if name != "config"]
-    unread = [key for key in config._SCHEMA
-              if not any(f'"{key}"' in text for text in others)]
-    assert unread == []
+    # a solver.* key reaches SolverParams by its field name (config.solver_settings),
+    # so it is read where the solver reads that field
+    sources = _sources()
+    others = [text for name, text in sources.items() if name != "config"]
+
+    def read(key):
+        if key.startswith("solver."):
+            return re.search(rf"params\.{key.removeprefix('solver.')}\b", sources["solver"])
+        return any(f'"{key}"' in text for text in others)
+
+    assert [key for key in config._SCHEMA if not read(key)] == []
 
 
 def _replace_calls(tree):
@@ -126,7 +133,7 @@ RETIRED = {
     "diagnostics.phi_norm_slack": "0.05", "replicator.strategies": "3",
     "replicator.sigma": "0.05", "replicator.grid_n": "201",
     "solver.trace_stride": "1", "init.profile": "torsion",
-    "solver.dt_min": "1e-12",
+    "solver.dt_min": "1e-12", "diagnostics.margin": "0.25",
 }
 
 

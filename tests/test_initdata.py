@@ -9,7 +9,8 @@ import replidyn as rd
 from replidyn import initdata as idt
 from replidyn.mesh import Field, build_grid, dirichlet_energy, distance_to_boundary, integrate
 
-from conftest import construct_initial, mollify, phi_weighted_sup, verify_epsilon_sequence
+from conftest import (InitDataError, construct_initial, mollify, phi_weighted_sup,
+                      verify_epsilon_sequence)
 
 EPS = 1e-3
 
@@ -99,9 +100,9 @@ def test_mollify_support_distance_and_sign(grid201, torsion201):
 
 def test_mollify_rejects_bad_radius(grid201, torsion201):
     u0 = half_torsion(grid201, torsion201)
-    with pytest.raises(idt.InitDataError):
+    with pytest.raises(InitDataError):
         mollify(u0, 0.4)  # inward shift would swallow the domain
-    with pytest.raises(idt.InitDataError):
+    with pytest.raises(InitDataError):
         mollify(u0, 0.3 * grid201.h[0])  # below the grid spacing
 
 
@@ -135,7 +136,7 @@ def test_constructed_field_under_weighted_envelope(grid201, torsion201):
 
 
 def test_construct_initial_rejects_zero_data(grid201):
-    with pytest.raises(idt.InitDataError, match="strictly positive"):
+    with pytest.raises(InitDataError, match="strictly positive"):
         construct_initial(Field(grid201, np.zeros(grid201.shape)), EPS)
 
 
@@ -144,7 +145,7 @@ def test_construct_initial_rejects_high_energy_data(grid201, torsion201):
     # of supercritical energy; the error directs to smaller collars/finer grids
     scale = 1.5 / integrate(torsion201.phi)
     u0 = Field(grid201, scale * torsion201.phi.values)
-    with pytest.raises(idt.InitDataError, match="no real root"):
+    with pytest.raises(InitDataError, match="no real root"):
         construct_initial(u0, EPS)
 
 
@@ -186,7 +187,7 @@ def test_construct_initial_names_the_settings_a_coarse_grid_needs(dimension):
     # so at epsilon 1e-3 a unit box needs 81 nodes per axis
     coarse = build_grid(dimension, [1.0] * dimension, [41] * dimension)
     u0 = half_torsion(coarse, rd.solve_torsion(coarse))
-    with pytest.raises(idt.InitDataError, match=r"grid\.n.*solver\.epsilon"):
+    with pytest.raises(InitDataError, match=r"grid\.n.*solver\.epsilon"):
         construct_initial(u0, EPS)
     fine = build_grid(dimension, [1.0] * dimension, [81] * dimension)
     construct_initial(half_torsion(fine, rd.solve_torsion(fine)), EPS)
