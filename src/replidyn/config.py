@@ -198,17 +198,20 @@ def subbox_nodes(extents, n, margin: float) -> list[list[int]]:
             for e, k in zip(extents, n)]
 
 
-def margin_problems(extents, n, margin: float):
-    """Yield (key, reason) unless ``margin`` leaves a sub-box to solve on."""
+def margin_problem(extents, n, margin: float) -> str | None:
+    """Why ``margin`` leaves no sub-box to solve on, or None if it leaves one."""
     kept = min(map(len, subbox_nodes(extents, n, margin)))
     if margin <= 0 or kept < 3:
-        yield "grid.n", (f"need at least 3 nodes per axis of the box {margin} inside "
-                         f"the boundary (a positive margin); it keeps {kept}")
+        return (f"need at least 3 nodes per axis of the box {margin} inside "
+                f"the boundary (a positive margin); it keeps {kept}")
+    return None
 
 
-def _problems(v: dict):
+def _problems(v: dict, keys=()):
     """(key, reason) for each value of a config no run can use, up to the
-    first: the rules after grid_problems assume a usable grid."""
+    first: the rules after grid_problems assume a usable grid.  Too few
+    sub-box nodes are blamed on grid.n, unless ``keys`` (those the config
+    sets) hold grid.extents and not grid.n."""
     for key, (kind, _) in _SCHEMA.items():
         if kind in ("float", "floats") and not key.startswith(("grid.", "solver.")):
             if not all(map(math.isfinite, v[key] if kind == "floats" else [v[key]])):
@@ -216,7 +219,8 @@ def _problems(v: dict):
     yield from grid_problems(v["grid.dimension"], v["grid.extents"], v["grid.n"])
     yield from solver_problems({"dt_min": solver_default("dt_min"), **solver_settings(v)})
     yield from mass_problems(v["init.mass"])
-    yield from margin_problems(v["grid.extents"], v["grid.n"], SUBBOX_MARGIN)
+    if reason := margin_problem(v["grid.extents"], v["grid.n"], SUBBOX_MARGIN):
+        yield next((k for k in ("grid.n", "grid.extents") if k in keys), "grid.n"), reason
     if len(v["replicator.p0"]) == 1:
         yield "replicator.p0", "need at least 2 strategies"
     if v["replicator.payoff"] not in ("coordination", "laplacian"):
@@ -253,5 +257,5 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in ("grid.extents", "grid.n"):  # one value serves both axes of 2D
         if len(values[key]) == 1 and values["grid.dimension"] == 2:
             values[key] = values[key] * 2
-    refuse(_problems(values), lines_seen)
+    refuse(_problems(values, lines_seen), lines_seen)
     return ExperimentConfig(values)

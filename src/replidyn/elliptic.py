@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .config import margin_problems, refuse, subbox_nodes
+from .config import margin_problem, subbox_nodes
 from .mesh import Field, Grid, dirichlet_laplacian, trapezoid_weights
 
 __all__ = [
@@ -80,10 +80,11 @@ def solve_torsion(grid: Grid) -> TorsionSolution:
 def solve_torsion_subdomain(grid: Grid, margin: float) -> TorsionSolution:
     """Torsion function of the concentric box shrunk by ``margin`` per side.
 
-    Nodes outside the sub-box carry zero; refuses what
-    config.margin_problems names.
+    Nodes outside the sub-box carry zero; refuses, naming ``margin``, what
+    config.margin_problem names.
     """
-    refuse(margin_problems(grid.extents, grid.n, margin))
+    if reason := margin_problem(grid.extents, grid.n, margin):
+        raise ValueError(f"margin {margin}: {reason}")
     axes_idx = subbox_nodes(grid.extents, grid.n, margin)
     sub_shape = tuple(len(idx) for idx in axes_idx)
     box = np.ix_(*axes_idx)

@@ -11,8 +11,8 @@ snapshots.ndjson, where the checks read it.  Every file goes through
 ``atomic_write_text`` (a fresh file, then os.replace), and every LF-terminated
 CSV is rendered by ``csv_text``.
 Exit codes: 0 complete, 1 module error, 2 a diagnostic failed its tolerance.
-Sweeps run independent configurations with bounded parallelism; per-run
-outputs are deterministic and independent of scheduling order.
+Sweeps run their configurations one after another on the calling thread;
+per-run outputs are deterministic and independent of the sweep's parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import math
 import os
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -215,21 +214,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 def run_sweep(spec: SweepSpec, out_root_dir: str | None = None):
     """Run all sweep configurations; returns (exit_code, summary rows)."""
     out_root_dir = out_root_dir or output_dir(spec.base, "_sweep")
-
-    def one(value, cfg):
-        run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{sweep_tag(value)}")
-        try:
-            return run_experiment(cfg, run_dir)
-        except Exception as exc:  # defensive: record, do not kill the sweep
-            return EXIT_ERROR, {"outcome": "Error", "error": str(exc)}
-
-    # one worker runs the configurations in order; map keeps the results in order
-    with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-        results = list(pool.map(one, spec.values, spec.configs()))
-
     rows = []
     worst = EXIT_OK
-    for value, (code, summary) in zip(spec.values, results):
+    # In order, on this thread, which meets any cap spec.parallelism puts on the
+    # members in flight: threads would only contend for the interpreter lock.
+    for value, cfg in zip(spec.values, spec.configs()):
+        run_dir = os.path.join(out_root_dir, f"run_{spec.axis}_{sweep_tag(value)}")
+        try:
+            code, summary = run_experiment(cfg, run_dir)
+        except Exception as exc:  # defensive: record, do not kill the sweep
+            code, summary = EXIT_ERROR, {"outcome": "Error", "error": str(exc)}
         worst = max(worst, code)
         tme = summary.get("t_max_estimate", math.nan)
         resid = summary.get("check_mass_ode")

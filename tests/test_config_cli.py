@@ -4,6 +4,7 @@ import json
 import os
 import re
 import stat
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,9 +230,31 @@ def test_sweep_outputs_independent_of_parallelism(tmp_path):
     assert (tmp_path / "s1" / "sweep_summary.csv").exists()
 
 
+def test_sweep_runs_members_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    # a thread pool only contends for the interpreter lock: whatever the
+    # parallelism, each member runs on this thread, after the one before it,
+    # and a member that raises leaves an Error row in its place
+    seen = []
+
+    def record(cfg, out_dir):
+        seen.append((cfg["init.mass"], threading.get_ident(), threading.active_count()))
+        if cfg["init.mass"] == 0.5:
+            raise OSError("disk full")
+        return 0, {"outcome": "Decay"}
+
+    monkeypatch.setattr(experiment_mod, "run_experiment", record)
+    threads = threading.active_count()
+    spec = SweepSpec(base=parse_config(FAST_RUN), axis="initial_mass",
+                     values=[1.5, 0.5, 0.8], parallelism=2)
+    code, rows = run_sweep(spec, str(tmp_path / "sweep"))
+    assert code == 1
+    assert [row[:2] for row in rows] == [["1.5", "Decay"], ["0.5", "Error"], ["0.8", "Decay"]]
+    assert seen == [(m, threading.get_ident(), threads) for m in (1.5, 0.5, 0.8)]
+
+
 def test_sweep_refuses_values_that_share_a_run_directory(tmp_path, capsys):
     # each run writes run_<axis>_<value:g>; 0.5 and 0.5000001 share one
-    # directory, and two workers would write it at the same time
+    # directory, and the later run would overwrite the earlier one's artifacts
     cfg = parse_config(FAST_RUN)
     with pytest.raises(ConfigError, match=r"0\.5, 0\.5000001.*run_initial_mass_0\.5"):
         SweepSpec(base=cfg, axis="initial_mass", values=[0.5, 0.8, 0.5000001])
@@ -764,6 +787,23 @@ def test_margin_that_leaves_too_few_nodes_is_a_config_error(tmp_path, capsys):
     assert parse_config("init.mass = 0.5\ngrid.n = 5\n")
 
 
+def test_extents_that_leave_too_few_sub_box_nodes_are_refused_at_their_line():
+    # the config sets the extents and not grid.n, so the refusal names the
+    # extents at their line, not the default grid.n the config never wrote
+    with pytest.raises(ConfigError, match=r"^line 1: key 'grid.extents': .*"
+                                          r"box 0\.25 inside .* keeps 1$"):
+        parse_config("grid.extents = 0.5\n")
+    with pytest.raises(ConfigError, match=r"^line 3: key 'grid.n': .* keeps 1$"):
+        parse_config("init.mass = 0.5\ngrid.extents = 0.5\ngrid.n = 11\n")
+
+
+def test_subdomain_solve_refusal_names_the_margin_it_was_given():
+    # a library caller's margin is no config key
+    with pytest.raises(ValueError, match=r"^margin 0\.45: .* keeps 1$") as err:
+        rd.solve_torsion_subdomain(rd.build_grid(1, [1.0], [11]), 0.45)
+    assert "grid." not in str(err.value)
+
+
 # One value per side of each grid, solver and sub-box rule; the parser and the
 # library must refuse the same ones.
 GRID_VALUES = [
@@ -844,7 +884,7 @@ def test_parser_and_subdomain_solve_refuse_the_same_margins(value, usable, monke
     if usable:
         rd.solve_torsion_subdomain(grid, float(value))
     else:
-        with pytest.raises(ValueError, match="grid.n"):
+        with pytest.raises(ValueError, match=f"^margin {float(value)}: "):
             rd.solve_torsion_subdomain(grid, float(value))
 
 
