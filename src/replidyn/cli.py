@@ -54,7 +54,8 @@ def _cmd_sweep(args) -> int:
 def _stored_run(args, pick=None):
     """The run stored at --trace and --snapshots, as (trace, snapshots, grid,
     sup cap): the grid from --config, and ε, |Ω| and the sup cap the run used
-    from the summary.json beside its trace; ``pick`` as in read_snapshots."""
+    from the summary.json beside its trace; ``pick`` as in read_snapshots.
+    Every record time must be a trace row, so files of two runs are refused."""
     cfg = _load_config(args.config)
     grid = build_grid(cfg["grid.dimension"], cfg["grid.extents"], cfg["grid.n"])
     keys = ("epsilon", "omega_measure", "sup_cap")
@@ -69,7 +70,12 @@ def _stored_run(args, pick=None):
             raise ValueError(f"{path} records no {key}")
     eps, omega_measure, sup_cap = (float(summary[key]) for key in keys)
     trace = diag.Trace.from_csv(args.trace, epsilon=eps, omega_measure=omega_measure)
-    return trace, read_snapshots(args.snapshots, grid, pick=pick), grid, sup_cap
+
+    def on_rows(times):  # all record times, read before any record is decoded
+        trace.rows_at(times)
+        return range(len(times)) if pick is None else pick(times)
+
+    return trace, read_snapshots(args.snapshots, grid, pick=on_rows), grid, sup_cap
 
 
 def _cmd_verify(args) -> int:

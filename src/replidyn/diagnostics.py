@@ -1,10 +1,12 @@
 """Audits of running or completed simulations against the analytical estimates.
 
-All checks are pure functions of trace rows and snapshots.  Statements about
+All checks are pure functions of trace rows and snapshots.  Every snapshot
+time is a trace row (``Trace.rows_at`` refuses any other), and the first
+snapshot a check is given is its initial data.  Statements about
 the unregularized limit problem are evaluated on the lifted quantities
 (u - eps, mass - eps*|Omega|); inequality checks carry explicit multiplicative
-slack because discrete solutions satisfy continuous inequalities only up to
-consistency error.
+slack, which the caller states, because discrete solutions satisfy continuous
+inequalities only up to consistency error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from . import mesh
 from .elliptic import TorsionSolution
-from .mesh import Field
 
 __all__ = [
     "Trace",
@@ -74,6 +75,16 @@ class Trace:
         if self.epsilon is None:
             return np.zeros(len(self), dtype=bool)
         return self.rho_value >= (1.0 / self.epsilon) * (1.0 - 1e-9)
+
+    def rows_at(self, times) -> np.ndarray:
+        """The index of the row at each of ``times``; a time that is not a
+        row's is refused, naming the first such."""
+        times = np.asarray(times, dtype=float)
+        rows = np.minimum(np.searchsorted(self.t, times), len(self) - 1)
+        missing = self.t[rows] != times
+        if missing.any():
+            raise ValueError(f"snapshot time {float(times[missing][0])} is not a trace row")
+        return rows
 
     def precap_mask(self, sup_cap: float) -> np.ndarray:
         """Rows before saturation and below half the blow-up cap ``sup_cap``."""
@@ -149,17 +160,6 @@ def _trapz_accum(series: np.ndarray, times: np.ndarray) -> np.ndarray:
         0.5 * (series[1:] + series[:-1]) * np.diff(times))])
 
 
-def _match_rows(trace: Trace, times) -> np.ndarray:
-    """Nearest trace-row index for each snapshot time, the earlier on a tie."""
-    t, times = trace.t, np.asarray(times, dtype=float)
-    rows = np.minimum(np.searchsorted(t, times), len(t) - 1)  # first row at or after
-    # step back while the earlier row is as near (more than once only where
-    # distances round alike, far outside the trace)
-    while (back := (rows > 0) & (abs(t[rows - 1] - times) <= abs(t[rows] - times))).any():
-        rows -= back
-    return rows
-
-
 def _row_sums(stack: np.ndarray) -> np.ndarray:
     """Per-snapshot sums, each bitwise equal to np.sum over that snapshot alone
     (a masked gather a[:, mask] comes back F-ordered, so it is made contiguous)."""
@@ -167,26 +167,21 @@ def _row_sums(stack: np.ndarray) -> np.ndarray:
 
 
 def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolution,
-                         u0eps: Field, tol: float = 0.1):
+                         *, tol: float):
     """Energy against its interior-log-functional exponential bound.
 
-    For each snapshot time t the right side is
-        E(0) * exp[ (sup_{tau<=t} mass) / (2 C') *
-                    ( ∫' phi ln u(t) - ∫' phi ln u0 + ∫_0^t ∫' u ) ]
-    with all primed integrals over the subdomain of ``subdomain_torsion``.
-    Returns (times, ok, lhs, rhs).
+    The first snapshot, at time t0, is the initial data u0.  For each snapshot
+    time t the right side is
+        E(t0) * exp[ (sup_{tau<=t} mass) / (2 C') *
+                     ( ∫' phi ln u(t) - ∫' phi ln u0 + ∫_t0^t ∫' u ) ]
+    with all primed integrals over the subdomain of ``subdomain_torsion``;
+    at t0 it equals the left side E(t0).  Returns (times, ok, lhs, rhs).
     """
-    grid = u0eps.grid
     phi = subdomain_torsion.phi
     weights = subdomain_torsion.weights
     inside = weights > 0
     times = np.array([t for t, _ in snapshots])
-    rows = _match_rows(trace, times)
-
-    if np.min(u0eps.values[inside]) <= 0:
-        raise ValueError("nonpositive values inside the subdomain; log undefined")
-    log_u0_term = subdomain_torsion.integrate(
-        Field(grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
+    rows = trace.rows_at(times)
 
     values = np.stack([f.values for _, f in snapshots])
     if np.min(values[:, inside]) <= 0:
@@ -197,12 +192,10 @@ def gradient_bound_check(trace: Trace, snapshots, subdomain_torsion: TorsionSolu
 
     time_int = _trapz_accum(sub_mass, times)
     sup_mass = np.maximum.accumulate(trace.mass)[rows]
-    e0 = trace.energy[rows[0]]
-
-    with np.errstate(over="ignore"):
-        rhs = e0 * np.exp((sup_mass / (2.0 * subdomain_torsion.c_subdomain))
-                          * (log_terms - log_u0_term + time_int))
     lhs = trace.energy[rows]
+    with np.errstate(over="ignore"):
+        rhs = lhs[0] * np.exp((sup_mass / (2.0 * subdomain_torsion.c_subdomain))
+                              * (log_terms - log_terms[0] + time_int))
     ok = lhs <= rhs * (1.0 + tol) + 1e-12
     return times, ok, lhs, rhs
 
@@ -217,20 +210,21 @@ class ConcentrationResult:
     accumulated_series: np.ndarray
 
 
-def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
+def boundary_concentration(snapshots, q: float, margin: float,
                            trace: Trace) -> ConcentrationResult:
     """Weighted space-time gradient integral against its endpoint bound.
 
-    lhs accumulates  q * u^(q-1) |grad u|^2  over the grid edges and time, with
-    u^(q-1) taken at edge midpoints; the bound is
-        -(1/q) ∫u(T)^q + (1/q) ∫u0^q + ∫_0^T ( ∫u^q ) E dt .
+    The first snapshot, at time t0, is the initial data u0.  lhs accumulates
+    q * u^(q-1) |grad u|^2  over the grid edges and time, with u^(q-1) taken
+    at edge midpoints; the bound is
+        -(1/q) ∫u(T)^q + (1/q) ∫u0^q + ∫_t0^T ( ∫u^q ) E dt .
     Also returns the energy on the collar edges, those whose midpoint lies
     within ``margin`` of the boundary, and its  (2 eta)^(1-q) * bound / q
     estimate, with eta the largest value at a node within ``margin``.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0,1), got {q}")
-    grid = u0eps.grid
+    grid = snapshots[0][1].grid
     cellvol = float(np.prod(grid.h))
     # edge midpoints are the edge means of the node coordinates
     coords = np.stack(grid.coordinate_arrays())
@@ -241,8 +235,7 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
     collar_nodes = node_dist < margin
 
     times = np.array([t for t, _ in snapshots])
-    rows = _match_rows(trace, times)
-    energies = trace.energy[rows]
+    energies = trace.energy[trace.rows_at(times)]
 
     values = np.stack([f.values for _, f in snapshots])
     gsq = [g * g for g in mesh.edge_differences(values, grid)]
@@ -257,8 +250,7 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
 
     lhs_series = q * _trapz_accum(weighted, times)
     accumulated = _trapz_accum(uq_int * energies, times)
-    u0q = uq_int[0]
-    bound_series = -(1.0 / q) * uq_int + (1.0 / q) * u0q + accumulated
+    bound_series = -(1.0 / q) * uq_int + (1.0 / q) * uq_int[0] + accumulated
 
     collar_series = _trapz_accum(collar_e, times)
     bound = float(bound_series[-1])
@@ -267,7 +259,7 @@ def boundary_concentration(snapshots, q: float, margin: float, u0eps: Field,
                                collar_bound, bound_series, accumulated)
 
 
-def phi_norm_bound_check(trace: Trace, tol: float = 0.05) -> np.ndarray:
+def phi_norm_bound_check(trace: Trace, *, tol: float) -> np.ndarray:
     """Row-wise: torsion-weighted norm <= max(initial norm, running max energy)."""
     run_max_e = np.maximum.accumulate(trace.energy)
     bound = np.maximum(trace.phi_norm[0], run_max_e)

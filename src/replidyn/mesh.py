@@ -271,15 +271,13 @@ def _record_time(line: str) -> float:
 
 def read_snapshots(path, grid: Grid, pick=None):
     """Read NDJSON snapshots back as writable (t, Field) pairs on ``grid``
-    (size and shape validated).  ``pick`` maps the array of record times to
-    the indices of the records to decode, reading only the time of the others,
-    one record's text at a time.  Errors name the file and 1-based record."""
-    def parse(k, decode, line=None):
+    (size and shape validated).  The file is read once, a record per non-blank
+    line.  ``pick`` maps the array of record times to the indices of the
+    records to decode, reading only the time of the others.  Errors name the
+    file and 1-based record."""
+    def parse(k, decode):
         try:
-            if line is None:
-                fh.seek(starts[k])
-                line = fh.readline()
-            return decode(line.decode())
+            return decode(lines[k].decode())
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"{path}: record {k + 1}: {exc}") from exc
 
@@ -296,9 +294,8 @@ def read_snapshots(path, grid: Grid, pick=None):
         return float(rec["t"]), Field(grid, values.astype(float))
 
     with open(path, "rb") as fh:
-        starts, out = [], []  # a record per non-blank line
-        for line in fh:
-            if not line.isspace():
-                out.append(parse(len(starts), snapshot if pick is None else _record_time, line))
-                starts.append(fh.tell() - len(line))
-        return out if pick is None else [parse(k, snapshot) for k in pick(np.array(out))]
+        lines = [line for line in fh if not line.isspace()]
+    keep = range(len(lines))
+    if pick is not None:
+        keep = pick(np.array([parse(k, _record_time) for k in keep]))
+    return [parse(k, snapshot) for k in keep]

@@ -51,9 +51,10 @@ reaction_cap_c / max(rho_eps, 1) so the nonlocal term stays resolved near
 blow-up.  The last step is clamped to t_end, below dt_min if need be, and
 does not count as starvation.
 
-A run ends in one of three outcomes: Decayed (corrected mass fell below
-DECAY_THRESHOLD of its initial value), RanToEnd, or BlowUp (sup norm crossed
-the cap, or the controller starved below dt_min while the sup norm was growing).
+A run ends in one of three outcomes: Decayed (a positive initial corrected
+mass fell below DECAY_THRESHOLD of itself), RanToEnd (t_end reached without
+decay), or BlowUp (sup norm crossed the cap, or the controller starved below
+dt_min while the sup norm was growing).
 Note the regularized dynamics are globally bounded by  eps + max(Phi)/eps  (the
 capped nonlocal term admits that stationary supersolution), so the default sup
 cap is clamped below this ceiling; otherwise a cap of 1e4 x the initial sup
@@ -395,13 +396,11 @@ def run(u0eps: Field, params: SolverParams,
         if sup >= sup_cap:
             outcome = "BlowUp"
             break
-        corrected = mass - eps_offset
-        if state.t >= params.t_end - 1e-12:
-            outcome = "Decayed" if corrected < DECAY_THRESHOLD * initial_corrected \
-                else "RanToEnd"
-            break
-        if initial_corrected > 0 and corrected < DECAY_THRESHOLD * initial_corrected:
+        if initial_corrected > 0 and mass - eps_offset < DECAY_THRESHOLD * initial_corrected:
             outcome = "Decayed"
+            break
+        if state.t >= params.t_end - 1e-12:
+            outcome = "RanToEnd"
             break
 
         prev_sup = sup

@@ -183,8 +183,7 @@ def test_criterion_5_bounded_runs_respect_estimates(run_decay, subdomain201,
     sup_ok = float(np.max(trace.sup_norm)) \
         <= comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1
     _, grad_ok, _, _ = diag.gradient_bound_check(
-        trace, run_decay.snapshots, subdomain201, run_decay.snapshots[0][1],
-        tol=0.1)
+        trace, run_decay.snapshots, subdomain201, tol=0.1)
     ok = sup_ok and bool(np.all(grad_ok))
     assert report("criterion 5b (bounded run estimates)", ok,
                   f"sup bound ok={sup_ok}, gradient bound ok={bool(np.all(grad_ok))}")
@@ -199,19 +198,18 @@ def test_criterion_6_estimate_suite(run_decay, run_critical, run_blowup,
     for name, result in (("decay", run_decay), ("critical", run_critical),
                          ("blowup", run_blowup)):
         trace = result.trace
-        u0 = result.snapshots[0][1]
         m_bound = float(trace.sup_norm[0])
         b_bound = float(np.sum(0.5 * (trace.energy[1:] + trace.energy[:-1])
                                * np.diff(trace.t)))
         comp_ok = float(np.max(trace.sup_norm)) \
             <= comparison_upper_bound(m_bound, b_bound, torsion201) * 1.1 + 1e-6
-        conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25, u0, trace)
+        conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25, trace)
         conc_ok = (conc.lhs <= conc.bound * 1.1 + 1e-12
                    and conc.collar_energy <= conc.collar_bound * 1.1 + 1e-12)
         keep = [(t, f) for (t, f) in result.snapshots
                 if float(np.max(f.values)) < 0.5 * result.sup_cap]
         _, grad_ok_arr, _, _ = diag.gradient_bound_check(trace, keep,
-                                                         subdomain201, u0, tol=0.1)
+                                                         subdomain201, tol=0.1)
         grad_ok = bool(np.all(grad_ok_arr))
         phi_ok = bool(np.all(diag.phi_norm_bound_check(precap_trace(result),
                                                        tol=0.05)))

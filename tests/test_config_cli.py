@@ -189,6 +189,30 @@ def test_diagnostics_rows_take_the_initial_data_from_the_first_snapshot():
                                     trace_checks)[0]
 
 
+# A decay run whose sup cap is 1.5 times its initial sup norm of 0.751: the
+# first snapshot lies past half the cap, so the gradient bound starts at a
+# later one.
+LOW_CAP_DECAY = """
+grid.n = 201
+init.mass = 0.5
+solver.dt_init = 1e-4
+solver.reaction_cap_c = 0.015
+solver.snapshot_stride = 20
+solver.sup_cap = 1.125
+"""
+
+
+def test_gradient_bound_starts_at_the_first_snapshot_kept(tmp_path):
+    # E, ∫'φ ln u0 and the time integral all start at the first snapshot
+    # kept, so the bound holds there with equality, and on the later ones
+    out = tmp_path / "run"
+    code, summary = run_experiment(parse_config(LOW_CAP_DECAY), str(out))
+    trace = rd.Trace.from_csv(out / "trace.csv")
+    assert trace.sup_norm[0] >= 0.5 * summary["sup_cap"]
+    assert (code, summary["outcome"]) == (0, "Decayed")
+    assert summary["check_gradient_bound"] == 1.0
+
+
 def test_failed_tolerance_gives_exit_2(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment_mod, "MASS_ODE_TOL", 1e-18)
     code, summary = run_experiment(parse_config(FAST_RUN), str(tmp_path / "fail"))
@@ -436,6 +460,30 @@ def test_blowup_reads_epsilon_from_the_run(tmp_path, capsys):
     # back byte for byte (taking epsilon from the config moved t_max_estimate
     # from 0.0367525 to 0.0366249), and so with every other non-grid key changed
     _audit_with_other_configs("blowup", tmp_path)
+
+
+@pytest.mark.parametrize("command", ["verify", "blowup"])
+def test_trace_and_snapshots_of_two_runs_are_refused(command, tmp_path, capsys):
+    # snapshots of the mass-1.2 run beside the trace of the mass-1.5 run: the
+    # two runs take different steps, so the audit of such a pair would judge
+    # each snapshot against the energy and mass of some other time
+    outs = []
+    for mass in ("1.5", "1.2"):
+        cfg_path = _write_cfg(tmp_path, FAST_RUN.replace("init.mass = 0.5",
+                                                         f"init.mass = {mass}"))
+        outs.append(tmp_path / mass)
+        assert main(["run", "--config", cfg_path, "--out", str(outs[-1])]) == 0
+    trace = rd.Trace.from_csv(outs[0] / "trace.csv")
+    times = [t for t, _ in rd.read_snapshots(outs[1] / "snapshots.ndjson",
+                                             rd.build_grid(1, [1.0], [101]))]
+    first = next(t for t in times if t not in trace.t)
+    capsys.readouterr()
+    code = main([command, "--config", cfg_path, "--trace", str(outs[0] / "trace.csv"),
+                 "--snapshots", str(outs[1] / "snapshots.ndjson")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"snapshot time {first} is not a trace row" in captured.err
 
 
 @pytest.mark.parametrize("key", ["epsilon", "omega_measure", "sup_cap"])

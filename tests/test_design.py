@@ -1,11 +1,11 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one owner of the singular time, one assembly of the Laplacian, no
-reads of mesh's private names outside mesh, the removed config keys and
-values rejected by name, SolverParams' fields and defaults those of the
-solver keys, README's key table in step with the schema and its
-CLI block in step with the parser, no import that only a rarely used path
-needs, a time step on plain arrays, no dead private helper or unused import,
-and no public name that only the tests reach."""
+writer, one loader of a stored run, one owner of the singular time, one
+assembly of the Laplacian, no reads of mesh's private names outside mesh, the
+removed config keys and values rejected by name, SolverParams' fields and
+defaults those of the solver keys, README's key table in step with the schema
+and its CLI block in step with the parser, no import that only a rarely used
+path needs, a time step on plain arrays, no dead private helper or unused
+import, and no public name that only the tests reach."""
 
 import ast
 import dataclasses
@@ -57,6 +57,27 @@ def test_one_function_replaces_files():
         sites += [f"{name}.{f.name}" for f in tree.body
                   if isinstance(f, ast.FunctionDef) for _ in _replace_calls(f)]
     assert sites == ["experiment.atomic_write_text"]
+
+
+def _stored_run_reads(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in ("read_snapshots", "from_csv")]
+
+
+def test_one_function_loads_a_stored_run():
+    # verify and blowup read a run's files through cli._stored_run alone,
+    # which holds every snapshot time to a row of the trace
+    sites = []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+        assert len(_stored_run_reads(tree)) == sum(len(_stored_run_reads(f)) for f in functions)
+        sites += [f"{name}.{f.name}" for f in functions for _ in _stored_run_reads(f)]
+    assert sites == ["cli._stored_run"] * 2
+    loader, = [f for f in ast.parse(_sources()["cli"]).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_stored_run"]
+    assert "rows_at" in {node.attr for node in ast.walk(loader)
+                         if isinstance(node, ast.Attribute)}
 
 
 def test_solver_imports_nothing_from_blowup():

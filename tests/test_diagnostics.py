@@ -82,21 +82,32 @@ def test_h_identity_on_deep_run(run_deep):
 
 
 def test_gradient_bound_equality_at_start(run_decay, subdomain201):
-    u0 = run_decay.snapshots[0][1]
     times, ok, lhs, rhs = diag.gradient_bound_check(
-        run_decay.trace, run_decay.snapshots[:1], subdomain201, u0)
+        run_decay.trace, run_decay.snapshots[:1], subdomain201, tol=0.1)
     assert ok[0]
     assert lhs[0] <= rhs[0] * 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])
+def test_gradient_bound_starts_at_the_first_snapshot_it_is_given(run_decay, subdomain201,
+                                                                 start):
+    # E, ∫'φ ln u and the time integral all start there, so the bound is met
+    # with equality at that snapshot, whichever it is
+    snaps = run_decay.snapshots[start:]
+    times, ok, lhs, rhs = diag.gradient_bound_check(run_decay.trace, snaps, subdomain201,
+                                                    tol=0.1)
+    assert times[0] == snaps[0][0]
+    assert rhs[0] == lhs[0]
+    assert np.all(ok)
 
 
 @pytest.mark.parametrize("fixture_name", ["run_decay", "run_critical", "run_blowup"])
 def test_gradient_bound_on_runs(fixture_name, subdomain201, request):
     result = request.getfixturevalue(fixture_name)
-    u0 = result.snapshots[0][1]
     keep = [(t, f) for (t, f) in result.snapshots
             if float(np.max(f.values)) < 0.5 * result.sup_cap]
     times, ok, lhs, rhs = diag.gradient_bound_check(
-        result.trace, keep, subdomain201, u0, tol=0.1)
+        result.trace, keep, subdomain201, tol=0.1)
     assert np.all(ok)
 
 
@@ -112,7 +123,7 @@ def constant_state_snapshots(grid, times):
 
 def test_boundary_concentration_constant_state(grid201):
     snaps, trace = constant_state_snapshots(grid201, [0.0, 0.1, 0.2])
-    conc = diag.boundary_concentration(snaps, 0.5, 0.25, snaps[0][1], trace)
+    conc = diag.boundary_concentration(snaps, 0.5, 0.25, trace)
     assert conc.lhs == 0.0
     assert conc.bound >= conc.lhs
 
@@ -120,8 +131,7 @@ def test_boundary_concentration_constant_state(grid201):
 @pytest.mark.parametrize("fixture_name", ["run_decay", "run_critical", "run_blowup"])
 def test_boundary_concentration_on_runs(fixture_name, request):
     result = request.getfixturevalue(fixture_name)
-    conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25,
-                                       result.snapshots[0][1], result.trace)
+    conc = diag.boundary_concentration(result.snapshots, 0.5, 0.25, result.trace)
     assert conc.lhs <= conc.bound * 1.1 + 1e-12
     assert conc.collar_energy <= conc.collar_bound * 1.1 + 1e-12
     # the accumulated part of the bound never decreases with the horizon
@@ -130,8 +140,7 @@ def test_boundary_concentration_on_runs(fixture_name, request):
 
 def test_boundary_concentration_rejects_bad_exponent(run_decay):
     with pytest.raises(ValueError):
-        diag.boundary_concentration(run_decay.snapshots, 1.5, 0.25,
-                                    run_decay.snapshots[0][1], run_decay.trace)
+        diag.boundary_concentration(run_decay.snapshots, 1.5, 0.25, run_decay.trace)
 
 
 @pytest.mark.parametrize("fixture_name", ["run_decay", "run_critical", "run_blowup"])
@@ -270,8 +279,8 @@ def test_trace_csv_roundtrip_is_exact(trace, tmp_path_factory):
 
 @st.composite
 def trace_times_and_queries(draw):
-    # small integer times make exact midpoint ties common; arbitrary finite
-    # floats put queries far outside the trace, where distances round alike
+    # queries mix the trace's own times, the midpoints between them, and
+    # arbitrary finite floats, inside the trace and far outside it
     values = st.one_of(st.integers(-50, 50).map(float), FINITE)
     t = np.sort(np.array(draw(st.lists(values, min_size=1, max_size=30, unique=True))))
     mids = (t[:-1] / 2 + t[1:] / 2).tolist() or t.tolist()
@@ -282,17 +291,19 @@ def trace_times_and_queries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=trace_times_and_queries())
-@example(case=(np.array([0.5]), np.array([-1.0, 0.5, 7.0])))  # a one-row trace
-@example(case=(np.array([0.0, 1.0, 2.0]),  # midpoint ties; 1e20 is as far from every row
-                np.array([0.5, 1.5, -0.5, 2.5, 1e20])))
-def test_match_rows_picks_the_rows_argmin_picks(case):
-    # the oracle is the (S, N) argmin: the nearest row, the earliest on a tie
+@example(case=(np.array([0.5]), np.array([0.5, 7.0])))  # a one-row trace
+@example(case=(np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.5, np.nan, 1e20])))
+def test_rows_at_finds_each_rows_own_time_and_refuses_any_other(case):
     t, queries = case
     trace = synthetic_trace(t, np.ones(len(t)), np.ones(len(t)))
-    with np.errstate(over="ignore"):  # distances between the largest doubles
-        want = np.argmin(np.abs(t - queries[:, None]), axis=1)
-        got = diag._match_rows(trace, queries)
-    assert got.tolist() == want.tolist()
+    assert trace.rows_at(t).tolist() == list(range(len(t)))
+    missing = [float(q) for q in queries if q not in t]
+    if missing:
+        with pytest.raises(ValueError) as err:
+            trace.rows_at(queries)
+        assert str(err.value) == f"snapshot time {missing[0]} is not a trace row"
+    else:
+        assert trace.rows_at(queries).tolist() == [t.tolist().index(q) for q in queries]
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
@@ -315,12 +326,15 @@ def test_trace_reader_rejects_malformed_files(text, message, tmp_path):
 
 # -- the per-snapshot loops the stacked checks replaced, kept as oracles --------
 
-def gradient_bound_loop(trace, snapshots, subdomain_torsion, u0eps, tol=0.1):
+def gradient_bound_loop(trace, snapshots, subdomain_torsion, tol=0.1):
+    # the first snapshot is the initial data: E, ∫'φ ln u and the time
+    # integral all start there
+    u0eps = snapshots[0][1]
     grid = u0eps.grid
     phi = subdomain_torsion.phi
     inside = subdomain_torsion.weights > 0
     times = np.array([t for t, _ in snapshots])
-    rows = np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
+    rows = np.array([int(np.flatnonzero(trace.t == t)[0]) for t in times])
     log_u0_term = subdomain_torsion.integrate(
         Field(grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
     sub_mass, log_terms = [], []
@@ -341,8 +355,8 @@ def gradient_bound_loop(trace, snapshots, subdomain_torsion, u0eps, tol=0.1):
     return times, lhs <= rhs * (1.0 + tol) + 1e-12, lhs, rhs
 
 
-def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
-    grid = u0eps.grid
+def boundary_concentration_loop(snapshots, q, margin, trace):
+    grid = snapshots[0][1].grid
     cellvol = float(np.prod(grid.h))
     edges = []  # per axis: (upper end, lower end, collar mask) of its edges
     for axis in range(grid.dimension):
@@ -354,7 +368,7 @@ def boundary_concentration_loop(snapshots, q, margin, u0eps, trace):
         edges.append((hi, lo, dist < margin))
     collar_nodes = mesh.distance_to_boundary(grid) < margin
     times = np.array([t for t, _ in snapshots])
-    rows = np.array([int(np.argmin(np.abs(trace.t - t))) for t in times])
+    rows = np.array([int(np.flatnonzero(trace.t == t)[0]) for t in times])
     energies = trace.energy[rows]
     weighted, collar_e, uq_int = [], [], []
     eta = 0.0
@@ -407,16 +421,15 @@ def test_stacked_checks_equal_the_per_snapshot_loops(fixture_name, request):
     result = request.getfixturevalue(fixture_name)
     grid = result.snapshots[0][1].grid
     sub = rd.solve_torsion_subdomain(grid, 0.25)
-    u0 = result.snapshots[0][1]
     keep = [(t, f) for (t, f) in result.snapshots
             if float(np.max(f.values)) < 0.5 * result.sup_cap]
     assert 2 <= len(keep) < len(result.snapshots)
-    for snaps in (keep, result.snapshots):
-        assert_same_bits(diag.gradient_bound_check(result.trace, snaps, sub, u0),
-                         gradient_bound_loop(result.trace, snaps, sub, u0))
+    for snaps in (keep, result.snapshots, result.snapshots[1:]):
+        assert_same_bits(diag.gradient_bound_check(result.trace, snaps, sub, tol=0.1),
+                         gradient_bound_loop(result.trace, snaps, sub))
         for q in (0.5, 0.3):  # u**0.5 takes numpy's sqrt path, u**0.3 its pow path
-            got = diag.boundary_concentration(snaps, q, 0.25, u0, result.trace)
-            want = boundary_concentration_loop(snaps, q, 0.25, u0, result.trace)
+            got = diag.boundary_concentration(snaps, q, 0.25, result.trace)
+            want = boundary_concentration_loop(snaps, q, 0.25, result.trace)
             assert_same_bits(list(vars(got).values()), list(vars(want).values()))
 
 
