@@ -12,8 +12,7 @@ blow-up of supercritical solutions, and the finite-strategy replicator
 dynamics the equation arises from.
 """
 
-from .blowup import (BlowupReport, blowup_set_estimate, estimate_tmax,
-                     poincare_blowup_bound)
+from .blowup import BlowupReport, blowup_set_estimate, estimate_tmax
 from .config import ConfigError, ExperimentConfig, SweepSpec, parse_config
 from .diagnostics import (Trace, boundary_concentration, gradient_bound_check,
                           h_identity_check, mass_ode_residual,

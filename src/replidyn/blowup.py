@@ -7,6 +7,10 @@ a trace row to y = infinity gives that row's singular time in closed form
 Rows where the capped nonlocal coefficient is saturated are excluded: past
 saturation the regularized dynamics leave the law by construction (this is
 also what makes the estimate insensitive to where the sup cap is placed).
+
+With kappa = C_h, the torsion integral, at the first row it is blowup.csv's
+torsion bound T_h(y0): exact for torsion data at eps = 0, and, as E C_h >= y^2
+for every grid function, an upper bound of the limit problem for any data.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ import numpy as np
 
 from .config import SUBBOX_MARGIN, subbox_nodes
 from .diagnostics import Trace
-from .elliptic import measure_poincare_constant
+from .elliptic import measure_poincare_constant, solve_torsion
 
 __all__ = [
     "BlowupReport",
     "estimate_tmax",
     "checkpoint_indices",
     "blowup_set_estimate",
-    "poincare_blowup_bound",
     "blowup_metrics",
 ]
 
@@ -35,6 +38,12 @@ __all__ = [
 MIN_TMAX_ROWS = 10
 CHECKPOINT_FRACTIONS = (0.5, 0.7, 0.85, 0.95, 1.0)
 GROWTH_THRESHOLD = 10.0
+
+
+def _singular_time(t, y, kappa):
+    """t + kappa [ln(y/(y-1)) - 1/y]: where y' = (y-1) y^2/kappa, from corrected
+    mass y > 1 at time t, reaches infinity."""
+    return t + kappa * (-np.log1p(-1.0 / y) - 1.0 / y)
 
 
 @dataclass
@@ -63,7 +72,7 @@ def estimate_tmax(trace: Trace):
     t, y, energy = (a[usable][-k:] for a in (trace.t, y, trace.energy))
     if y[-1] <= y[0]:
         raise ValueError("no blow-up signature: y - 1 does not grow over the tail")
-    t_row = t + (y * y / energy) * (-np.log1p(-1.0 / y) - 1.0 / y)
+    t_row = _singular_time(t, y, y * y / energy)
     return float(t_row[-1]), float(np.ptp(t_row) / t_row[-1])
 
 
@@ -113,25 +122,13 @@ def blowup_set_estimate(snapshots) -> BlowupReport:
     )
 
 
-def poincare_blowup_bound(y0: float, c_p: float, omega_measure: float) -> float:
-    """Upper bound for the blow-up time from the quadratic mass growth law.
-
-    The comparison solution z' = ((y0-1)/(C_P |Omega|)) z^2 started from the
-    midpoint z0 = (1+y0)/2 blows up at  C_P |Omega| / ((y0-1) z0).
-    """
-    if y0 <= 1.0:
-        raise ValueError(f"corrected initial mass must exceed 1, got {y0}")
-    z0 = 0.5 * (1.0 + y0)
-    return c_p * omega_measure / ((y0 - 1.0) * z0)
-
-
 def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
     """The (metric, value) rows of blowup.csv, for ``run`` and ``replidyn blowup``.
 
     The singular time and its spread (both left out when the estimate fails), the
-    Poincare constant, the Poincare blow-up bound for supercritical corrected
-    mass, and the blow-up set fraction and core growth when the checkpoint
-    times pick at least 3 distinct snapshots (left out otherwise).
+    Poincare constant, the torsion bound T_h(y0) for supercritical corrected
+    mass y0 at the first row, and the blow-up set fraction and core growth when
+    the checkpoint times pick at least 3 distinct snapshots (left out otherwise).
     """
     metrics = []
     try:
@@ -139,12 +136,10 @@ def blowup_metrics(trace: Trace, snapshots, grid) -> list[tuple[str, float]]:
         metrics += [("t_max_estimate", t_est), ("fit_residual", residual)]
     except ValueError:
         pass
-    c_p = measure_poincare_constant(grid)
-    metrics.append(("poincare_constant", c_p))
-    y0 = float(trace.corrected_mass[0])
-    if y0 > 1.0:
-        metrics.append(("poincare_upper_bound",
-                        poincare_blowup_bound(y0, c_p, grid.volume)))
+    metrics.append(("poincare_constant", measure_poincare_constant(grid)))
+    if (y0 := float(trace.corrected_mass[0])) > 1.0:
+        metrics.append(("torsion_blowup_bound", float(_singular_time(
+            trace.t[0], y0, solve_torsion(grid).c_subdomain))))
     try:
         report = blowup_set_estimate(snapshots)
     except ValueError:  # fewer than 3 distinct snapshots at the checkpoints

@@ -40,10 +40,6 @@ class TorsionSolution:
     c_subdomain: float
     weights: np.ndarray
 
-    def integrate(self, f: Field) -> float:
-        """Integral of f over this solution's own domain."""
-        return float(np.sum(self.weights * f.values))
-
     @property
     def max_phi(self) -> float:
         return float(self.phi.values.max())

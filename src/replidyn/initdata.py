@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .config import mass_problems, refuse
 from .elliptic import TorsionSolution, solve_torsion
-from .mesh import Field, Grid, integrate
+from .mesh import Field, Grid
 
 __all__ = ["torsion_profile"]
 
@@ -28,7 +28,7 @@ def torsion_profile(grid: Grid, corrected_mass: float, epsilon: float,
     refuse(mass_problems(corrected_mass))
     if torsion is None:
         torsion = solve_torsion(grid)
-    scale = corrected_mass / integrate(torsion.phi)
+    scale = corrected_mass / torsion.c_subdomain
     values = epsilon + scale * torsion.phi.values
     values[grid.boundary_mask] = epsilon
     return Field(grid, values)

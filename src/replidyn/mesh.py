@@ -262,27 +262,28 @@ def write_snapshots(fh, snapshots) -> None:
 _TIME_KEY, _DECODER = '{"t": ', json.JSONDecoder()
 
 
-def _record_time(line: str) -> float:
+def _record_time(line: bytes) -> float:
     """A record's time from its leading "t" key, else from the whole record."""
-    if line.startswith(_TIME_KEY):
-        return float(_DECODER.raw_decode(line, len(_TIME_KEY))[0])
-    return float(json.loads(line)["t"])
+    text = line.decode()
+    if text.startswith(_TIME_KEY):
+        return float(_DECODER.raw_decode(text, len(_TIME_KEY))[0])
+    return float(json.loads(text)["t"])
 
 
 def read_snapshots(path, grid: Grid, pick=None):
     """Read NDJSON snapshots back as writable (t, Field) pairs on ``grid``
-    (size and shape validated).  The file is read once, a record per non-blank
-    line.  ``pick`` maps the array of record times to the indices of the
-    records to decode, reading only the time of the others.  Errors name the
-    file and 1-based record."""
-    def parse(k, decode):
+    (size and shape validated), a record per non-blank line.  ``pick`` maps
+    the array of record times, read in a first pass, to the indices of the
+    records a second pass decodes; either pass holds one line at a time.
+    Errors name the file and 1-based record."""
+    def parse(k, decode, arg):
         try:
-            return decode(lines[k].decode())
+            return decode(arg)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"{path}: record {k + 1}: {exc}") from exc
 
     def snapshot(line):
-        rec = json.loads(line)
+        rec = json.loads(line.decode())
         try:  # a JSON array or a string that is not base64 fails here
             raw = base64.b64decode(rec["values"], validate=True)
         except (TypeError, ValueError) as exc:
@@ -293,9 +294,16 @@ def read_snapshots(path, grid: Grid, pick=None):
         values = np.frombuffer(raw, "<f8").reshape(rec["shape"])
         return float(rec["t"]), Field(grid, values.astype(float))
 
+    def records():
+        fh.seek(0)
+        return enumerate(line for line in fh if not line.isspace())
+
     with open(path, "rb") as fh:
-        lines = [line for line in fh if not line.isspace()]
-    keep = range(len(lines))
-    if pick is not None:
-        keep = pick(np.array([parse(k, _record_time) for k in keep]))
-    return [parse(k, snapshot) for k in keep]
+        if pick is None:
+            return [parse(k, snapshot, line) for k, line in records()]
+        times = [parse(k, _record_time, line) for k, line in records()]
+        keep = pick(np.array(times))
+        wanted = {k + len(times) if k < 0 else k for k in keep}  # as list indices
+        found = [parse(k, snapshot, line) if k in wanted else None
+                 for k, line in records()]
+    return [parse(k, found.__getitem__, k) for k in keep]

@@ -1,13 +1,14 @@
 """Shared fixtures: grids, torsion solutions, and the canonical runs.
 
-The three mass-trichotomy runs (epsilon 1e-3) and the deep blow-up run
+The three mass-trichotomy runs (epsilon 1e-3) and the deep blow-up runs
 (epsilon 1e-9, where the capped nonlocal coefficient never saturates below
-the blow-up cap) are expensive enough to share across test modules.  The
-closed-form blow-up and decay times of torsion data are the oracle the runs
-are judged against.  The oracles that only the tests apply live here too:
-the weak-form residual, the sharp mass-rate check, the time-weighted median,
-the a-priori comparison bound on the sup norm, the config serializer, the
-φ-weighted sup norm, the gradient inner product, and the paper's
+the blow-up cap; from torsion data and from non-torsion data) are expensive
+enough to share across test modules.  The closed-form blow-up and decay times
+of torsion data are the oracle the runs are judged against.  The oracles that
+only the tests apply live here too: the weak-form residual, the sharp
+mass-rate check, the time-weighted median, the a-priori comparison bound on
+the sup norm, the config serializer, the integral over a torsion solution's
+own box, the φ-weighted sup norm, the gradient inner product, and the paper's
 boundary-compatible approximation u0eps of the initial data with its
 property report and its epsilon-sequence check (criterion 8).
 """
@@ -91,6 +92,17 @@ def run_deep(grid201, torsion201):
     return rd.run(u0, deep_params(), torsion201)
 
 
+@pytest.fixture(scope="session")
+def run_deep_asymmetric(grid201, torsion201):
+    """The deep run's settings from the non-torsion data eps + s sin^3(pi x)
+    (1 + 2x) of corrected mass 1.5, which blows up before torsion data does."""
+    x = grid201.axes[0]
+    shape = np.sin(np.pi * x) ** 3 * (1.0 + 2.0 * x)
+    values = DEEP_EPS + 1.5 / integrate(Field(grid201, shape)) * shape
+    values[grid201.boundary_mask] = DEEP_EPS
+    return rd.run(Field(grid201, values), deep_params(), torsion201)
+
+
 def continuum_torsion_constant(extents):
     """C, the integral of the torsion function (-Lap phi = 1, phi = 0 on the
     boundary) of the interval (0, a) or of the box (0, a) x (0, b): a^3 / 12,
@@ -117,6 +129,12 @@ def torsion_blowup_time(y0, c):
     (C the integral of the torsion function, E = y^2 / C), and blows up at
     C [ln(y0 / (y0 - 1)) - 1 / y0]."""
     return c * (np.log(y0 / (y0 - 1.0)) - 1.0 / y0)
+
+
+def subdomain_integral(torsion: TorsionSolution, f: Field) -> float:
+    """Integral of f over the torsion solution's own domain (a sub-box's
+    trapezoid weights are zero outside it)."""
+    return float(np.sum(torsion.weights * f.values))
 
 
 def torsion_decay_time(y0, y1, c):

@@ -88,24 +88,23 @@ def test_blowup_set_global_on_deep_run(run_deep):
     assert report.core_min_growth[0.25] >= 10.0
 
 
-def test_poincare_bound_formula():
-    # z0 = (1+2)/2 = 1.5: T0 = 1/(1*1.5)
-    assert blowup.poincare_blowup_bound(2.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        blowup.poincare_blowup_bound(0.9, 1.0, 1.0)
-
-
-def test_poincare_bound_diverges_at_critical_mass():
-    vals = [blowup.poincare_blowup_bound(1.0 + d, 1.0, 1.0)
-            for d in (1e-1, 1e-2, 1e-3)]
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_observed_blowup_before_poincare_bound(run_deep, grid201):
-    c_p = rd.measure_poincare_constant(grid201)
+def test_torsion_bound_row_is_the_closed_form(run_deep, grid201, torsion201):
+    metrics = dict(blowup.blowup_metrics(run_deep.trace, run_deep.snapshots, grid201))
     y0 = float(run_deep.trace.corrected_mass[0])
-    t0 = blowup.poincare_blowup_bound(y0, c_p, grid201.volume)
-    assert blowup.estimate_tmax(run_deep.trace)[0] <= t0
+    t_h = torsion_blowup_time(y0, torsion201.c_subdomain)
+    assert abs(metrics["torsion_blowup_bound"] / t_h - 1.0) <= 1e-14
+    assert "poincare_constant" in metrics
+
+
+def test_torsion_bound_lies_above_a_non_torsion_blowup(run_deep_asymmetric, grid201):
+    # E C_h >= y^2 for every grid function, so y' >= (y - 1) y^2 / C_h and
+    # torsion data of the same corrected mass blows up last: measured t_last
+    # 0.024170 against T_h 0.035995
+    result = run_deep_asymmetric
+    assert result.outcome == "BlowUp"
+    metrics = dict(blowup.blowup_metrics(result.trace, result.snapshots, grid201))
+    assert result.t_last < metrics["torsion_blowup_bound"]
+    assert metrics["t_max_estimate"] < metrics["torsion_blowup_bound"]
 
 
 def test_blowup_outcome_invariants(run_blowup, run_deep):

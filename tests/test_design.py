@@ -1,6 +1,6 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one loader of a stored run, one owner of the singular time, one
-assembly of the Laplacian, no reads of mesh's private names outside mesh, the
+writer, one loader of a stored run, one owner of the singular time and one
+evaluation of its closed form, one assembly of the Laplacian, no reads of mesh's private names outside mesh, the
 removed config keys and values rejected by name, SolverParams' fields and
 defaults those of the solver keys, README's key table in step with the schema
 and its CLI block in step with the parser, no import that only a rarely used
@@ -96,12 +96,25 @@ def test_solver_step_builds_no_field_and_reads_no_interior_mask():
     assert "interior_mask" not in attributes
 
 
+def _callers(name):
+    """module.function of every call in src of a function named ``name``."""
+    return [f"{module}.{f.name}" for module, text in _sources().items()
+            for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == name]
+
+
 def test_one_function_estimates_the_singular_time():
-    sites = [f"{name}.{f.name}" for name, text in _sources().items()
-             for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)
-             for node in ast.walk(f) if isinstance(node, ast.Call)
-             and ast.unparse(node.func).split(".")[-1] == "estimate_tmax"]
-    assert sites == ["blowup.blowup_metrics"]
+    assert _callers("estimate_tmax") == ["blowup.blowup_metrics"]
+
+
+def test_one_function_evaluates_the_closed_form_singular_time():
+    # t + kappa [ln(y/(y-1)) - 1/y] is written once: estimate_tmax takes
+    # kappa = y^2/E per row, blowup_metrics kappa = C_h for the torsion bound
+    helper, = _callers("log1p")
+    assert helper.startswith("blowup.")
+    assert sorted(_callers(helper.split(".")[1])) == ["blowup.blowup_metrics",
+                                                      "blowup.estimate_tmax"]
 
 
 def _laplacian_assembly_calls(tree):

@@ -16,8 +16,9 @@ from replidyn.diagnostics import TRACE_COLUMNS, ConcentrationResult, Trace
 from replidyn.experiment import atomic_write_text
 from replidyn.mesh import Field, integrate
 
-from conftest import (EPS, normalized_mass_residual, precap_trace, time_weighted_median,
-                      torsion_rate_check, trichotomy_params, weak_form_residual)
+from conftest import (EPS, normalized_mass_residual, precap_trace, subdomain_integral,
+                      time_weighted_median, torsion_rate_check, trichotomy_params,
+                      weak_form_residual)
 
 
 def synthetic_trace(t, mass, energy, epsilon=None, omega=None):
@@ -335,13 +336,13 @@ def gradient_bound_loop(trace, snapshots, subdomain_torsion, tol=0.1):
     inside = subdomain_torsion.weights > 0
     times = np.array([t for t, _ in snapshots])
     rows = np.array([int(np.flatnonzero(trace.t == t)[0]) for t in times])
-    log_u0_term = subdomain_torsion.integrate(
-        Field(grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
+    log_u0_term = subdomain_integral(subdomain_torsion, Field(
+        grid, phi.values * np.where(inside, np.log(np.clip(u0eps.values, 1e-300, None)), 0.0)))
     sub_mass, log_terms = [], []
     for t, f in snapshots:
-        sub_mass.append(subdomain_torsion.integrate(f))
-        log_terms.append(subdomain_torsion.integrate(
-            Field(grid, phi.values * np.where(inside, np.log(np.clip(f.values, 1e-300, None)), 0.0))))
+        sub_mass.append(subdomain_integral(subdomain_torsion, f))
+        log_terms.append(subdomain_integral(subdomain_torsion, Field(
+            grid, phi.values * np.where(inside, np.log(np.clip(f.values, 1e-300, None)), 0.0))))
     sub_mass = np.asarray(sub_mass)
     log_terms = np.asarray(log_terms)
     time_int = np.concatenate([[0.0], np.cumsum(

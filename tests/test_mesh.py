@@ -4,6 +4,7 @@ import base64
 import io
 import json
 import struct
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -265,7 +266,8 @@ def _snapshot_file(tmp_path, count=6):
     lambda t: [1, 4, 5],
     lambda t: [5, 2],
     lambda t: np.flatnonzero(t > 0.25),
-], ids=["first", "subset", "reversed", "by-time"])
+    lambda t: [-1, 0, -6],
+], ids=["first", "subset", "reversed", "by-time", "negative"])
 def test_picked_read_equals_the_full_read_restricted(pick, tmp_path):
     path, g = _snapshot_file(tmp_path)
     full = read_snapshots(path, g)
@@ -280,6 +282,24 @@ def test_picked_read_equals_the_full_read_restricted(pick, tmp_path):
 def test_empty_pick_decodes_nothing(tmp_path):
     path, g = _snapshot_file(tmp_path)
     assert read_snapshots(path, g, pick=lambda t: []) == []
+
+
+def test_picking_one_record_holds_no_other_record(tmp_path):
+    # the loader reads the times, then decodes the picked records, a line at a
+    # time: its peak stays far below the file's size, never all its lines
+    g = build_grid(1, [1.0], [201])
+    rng = np.random.default_rng(2)
+    snaps = [(0.01 * k, Field(g, rng.random(g.shape))) for k in range(60)]
+    path = tmp_path / "snaps.ndjson"
+    atomic_write_text(str(path), lambda fh: write_snapshots(fh, snaps))
+    tracemalloc.start()
+    try:
+        back = read_snapshots(path, g, pick=lambda t: [len(t) - 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back[0][1].values.tobytes() == snaps[-1][1].values.tobytes()
+    assert peak < path.stat().st_size / 2
 
 
 def test_record_without_a_leading_time_is_timed_by_a_full_decode(tmp_path):

@@ -581,6 +581,19 @@ def test_2d_start_is_no_worse_than_the_newest_state_alone(case):
         u_int = _next_state(kind, u_int, x, fresh)
 
 
+def test_2d_critical_run_stays_on_the_unit_mass_manifold(grid21):
+    # torsion data of mass 1 is a rest point of y' = (y - 1) E.  Measured: max
+    # |y - 1| 1.4e-15 over 962 steps to t = 0.5.  The start's fallback to the
+    # best multiple of the newest state is what holds it there: without it the
+    # drift read 2.2e-8 at t = 0.5 and 2.8e-2 at t = 1.0.
+    torsion = rd.solve_torsion(grid21)
+    u0 = rd.torsion_profile(grid21, 1.0, EPS, torsion)
+    params = rd.SolverParams(epsilon=EPS, dt_init=1e-4, reaction_cap_c=0.015, t_end=0.5)
+    result = rd.run(u0, params, torsion)
+    assert result.outcome == "RanToEnd"
+    assert np.max(np.abs(result.trace.corrected_mass - 1.0)) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([4, 5, 21, 45]), k=st.integers(1, HISTORY),
        dropped=st.integers(0, HISTORY - 1), seed=st.integers(0, 2**32 - 1))

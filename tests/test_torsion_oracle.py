@@ -16,7 +16,7 @@ import pytest
 
 import replidyn as rd
 from replidyn import blowup
-from replidyn.mesh import Field, dirichlet_energy, integrate
+from replidyn.mesh import dirichlet_energy, integrate
 
 from conftest import (DEEP_EPS, deep_params, torsion_blowup_time,
                       torsion_decay_time, trichotomy_params)
@@ -68,17 +68,13 @@ def test_deep_run_keeps_the_torsion_shape(run_deep, torsion201):
         assert np.ptp(ratio) <= 10.0 * DEEP_EPS * np.mean(ratio)
 
 
-def test_per_row_estimate_on_non_torsion_data(grid201, torsion201):
+def test_per_row_estimate_on_non_torsion_data(run_deep_asymmetric):
     # away from torsion data kappa = y^2 / E is not constant (it moves by 0.4%
     # over the second half of the usable rows), and the estimate rests on its
     # freezing near blow-up.  Each row's T_row is the estimate of the trace
     # cut after that row.  Measured: within 3.4e-7 of t_last (the torsion
     # time T(1.5) is 0.036, against t_last 0.024); the bound is three times that.
-    x = grid201.axes[0]
-    shape = np.sin(np.pi * x) ** 3 * (1.0 + 2.0 * x)
-    values = DEEP_EPS + 1.5 / integrate(Field(grid201, shape)) * shape
-    values[grid201.boundary_mask] = DEEP_EPS
-    result = rd.run(Field(grid201, values), deep_params(), torsion201)
+    result = run_deep_asymmetric
     assert result.outcome == "BlowUp"
     trace = result.trace
     rows = np.flatnonzero((trace.corrected_mass > 1.0) & ~trace.saturated())
