@@ -272,14 +272,15 @@ def _record_time(line: bytes) -> float:
 
 def read_snapshots(path, grid: Grid, pick=None):
     """Read NDJSON snapshots back as writable (t, Field) pairs on ``grid``
-    (size and shape validated), a record per non-blank line.  ``pick`` maps
-    the array of record times, read in a first pass, to the indices of the
-    records a second pass decodes; either pass holds one line at a time.
-    Errors name the file and 1-based record."""
+    (size and shape validated), a record per non-blank line.  A first pass
+    reads each record's time and byte offset; ``pick`` maps the array of times
+    to the indices of the records a second pass seeks to and decodes (all, in
+    order, if None).  Either pass holds one line at a time.  Errors name the
+    file and 1-based record, or the count of records a pick falls outside."""
     def parse(k, decode, arg):
         try:
             return decode(arg)
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: record {k + 1}: {exc}") from exc
 
     def snapshot(line):
@@ -294,16 +295,16 @@ def read_snapshots(path, grid: Grid, pick=None):
         values = np.frombuffer(raw, "<f8").reshape(rec["shape"])
         return float(rec["t"]), Field(grid, values.astype(float))
 
-    def records():
-        fh.seek(0)
-        return enumerate(line for line in fh if not line.isspace())
-
     with open(path, "rb") as fh:
-        if pick is None:
-            return [parse(k, snapshot, line) for k, line in records()]
-        times = [parse(k, _record_time, line) for k, line in records()]
-        keep = pick(np.array(times))
-        wanted = {k + len(times) if k < 0 else k for k in keep}  # as list indices
-        found = [parse(k, snapshot, line) if k in wanted else None
-                 for k, line in records()]
-    return [parse(k, found.__getitem__, k) for k in keep]
+        starts, times = [], []  # each record's byte offset and time
+        for line in fh:
+            if not line.isspace():
+                starts.append(fh.tell() - len(line))
+                times.append(parse(len(times), _record_time, line))
+        picked = []
+        for k in range(len(times)) if pick is None else pick(np.array(times)):
+            if not -len(starts) <= k < len(starts):
+                raise ValueError(f"{path}: no record index {k} among {len(starts)} records")
+            fh.seek(starts[k])
+            picked.append(parse(k % len(starts), snapshot, fh.readline()))
+    return picked

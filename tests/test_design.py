@@ -1,11 +1,12 @@
 """Design guards: no config key that nothing reads, one atomic artifact
-writer, one loader of a stored run, one owner of the singular time and one
-evaluation of its closed form, one assembly of the Laplacian, no reads of mesh's private names outside mesh, the
-removed config keys and values rejected by name, SolverParams' fields and
-defaults those of the solver keys, README's key table in step with the schema
-and its CLI block in step with the parser, no import that only a rarely used
-path needs, a time step on plain arrays, no dead private helper or unused
-import, and no public name that only the tests reach."""
+writer, one loader of a stored run, one stacker of snapshot values, one owner
+of the singular time and one evaluation of its closed form, one assembly of the
+Laplacian, no reads of mesh's private names outside mesh, the removed config
+keys and values rejected by name, SolverParams' fields and defaults those of
+the solver keys, README's key table in step with the schema and its CLI block
+in step with the parser, no import that only a rarely used path needs, a time
+step on plain arrays, no dead private helper or unused import, and no public
+name that only the tests reach."""
 
 import ast
 import dataclasses
@@ -78,6 +79,31 @@ def test_one_function_loads_a_stored_run():
                if isinstance(f, ast.FunctionDef) and f.name == "_stored_run"]
     assert "rows_at" in {node.attr for node in ast.walk(loader)
                          if isinstance(node, ast.Attribute)}
+
+
+STACKERS = {"np.stack", "np.vstack", "np.hstack", "np.concatenate", "np.array", "np.asarray"}
+
+
+def _snapshot_stacks(tree):
+    # a stacking call over a comprehension that takes each item's .values
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in STACKERS
+            and any(isinstance(comp, (ast.ListComp, ast.GeneratorExp))
+                    and any(isinstance(n, ast.Attribute) and n.attr == "values"
+                            for n in ast.walk(comp.elt))
+                    for comp in ast.walk(node))]
+
+
+def test_one_function_stacks_snapshot_values():
+    # the snapshot checks work on diagnostics._blocks' bounded stacks, so no
+    # other function builds an array of every snapshot's values
+    sites = []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+        assert len(_snapshot_stacks(tree)) == sum(len(_snapshot_stacks(f)) for f in functions)
+        sites += [f"{name}.{f.name}" for f in functions for _ in _snapshot_stacks(f)]
+    assert sites == ["diagnostics._blocks"]
 
 
 def test_solver_imports_nothing_from_blowup():

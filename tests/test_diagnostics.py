@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -432,6 +433,59 @@ def test_stacked_checks_equal_the_per_snapshot_loops(fixture_name, request):
             got = diag.boundary_concentration(snaps, q, 0.25, result.trace)
             want = boundary_concentration_loop(snaps, q, 0.25, result.trace)
             assert_same_bits(list(vars(got).values()), list(vars(want).values()))
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+@pytest.mark.parametrize("fixture_name", ["run_blowup", "run_2d21", "run_deep"])
+def test_blocked_checks_equal_the_per_snapshot_loops(fixture_name, per_block, request,
+                                                     monkeypatch):
+    # blocks of 1-3 snapshots: the checks accumulate over several blocks, and a
+    # block boundary falls inside the kept subset
+    result = request.getfixturevalue(fixture_name)
+    grid = result.snapshots[0][1].grid
+    monkeypatch.setattr(diag, "_BLOCK_NODES", per_block * int(np.prod(grid.shape)))
+    sub = rd.solve_torsion_subdomain(grid, 0.25)
+    keep = [(t, f) for (t, f) in result.snapshots
+            if float(np.max(f.values)) < 0.5 * result.sup_cap]
+    assert len(keep) > per_block
+    sizes = [len(block) for block in diag._blocks(keep)]
+    assert sizes[:-1] == [per_block] * (len(sizes) - 1) and 1 <= sizes[-1] <= per_block
+    for snaps in (keep, result.snapshots):
+        assert_same_bits(diag.gradient_bound_check(result.trace, snaps, sub, tol=0.1),
+                         gradient_bound_loop(result.trace, snaps, sub))
+        for q in (0.5, 0.3):
+            got = diag.boundary_concentration(snaps, q, 0.25, result.trace)
+            want = boundary_concentration_loop(snaps, q, 0.25, result.trace)
+            assert_same_bits(list(vars(got).values()), list(vars(want).values()))
+
+
+def _checks_peak(snapshots, trace, sub):
+    tracemalloc.start()
+    try:
+        diag.gradient_bound_check(trace, snapshots, sub, tol=0.1)
+        diag.boundary_concentration(snapshots, 0.5, 0.25, trace)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_checks_memory_does_not_grow_with_the_record_count():
+    # positive 81^2 fields, at eps on the boundary: a stack of every record
+    # would make the checks' working memory grow with their number
+    grid = rd.build_grid(2, [1.0, 1.0], [81, 81])
+    x, y = grid.coordinate_arrays()
+    bump = np.sin(np.pi * x) * np.sin(np.pi * y)
+    bump[grid.boundary_mask] = 0.0
+    sub = rd.solve_torsion_subdomain(grid, 0.25)
+    k = 6
+    snaps = [(0.01 * j, Field(grid, EPS + (1.0 + 0.05 * j) * bump)) for j in range(4 * k)]
+    trace = synthetic_trace([t for t, _ in snaps], np.linspace(1.5, 1.6, 4 * k),
+                            np.linspace(5.0, 6.0, 4 * k))
+    _checks_peak(snaps[:k], trace, sub)  # first calls fill lazy caches
+    few, many = _checks_peak(snaps[:k], trace, sub), _checks_peak(snaps, trace, sub)
+    assert many < 1.1 * few + 32 * 1024
+    with pytest.raises(ValueError):
+        diag.gradient_bound_check(trace, [], sub, tol=0.1)
 
 
 def test_time_weighted_median_weights_by_interval():

@@ -279,6 +279,18 @@ def test_picked_read_equals_the_full_read_restricted(pick, tmp_path):
         assert a.values.tobytes() == b.values.tobytes()
 
 
+def test_blank_lines_are_not_records(tmp_path):
+    # the second pass seeks to each record's own offset past the blank lines
+    path, g = _snapshot_file(tmp_path, count=3)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("\n" + "  \n".join(lines) + "\r\n")
+    full = read_snapshots(path, g)
+    assert len(full) == 3
+    picked = read_snapshots(path, g, pick=lambda t: [2, 0, 1])
+    assert [f.values.tobytes() for _, f in picked] == [
+        full[k][1].values.tobytes() for k in (2, 0, 1)]
+
+
 def test_empty_pick_decodes_nothing(tmp_path):
     path, g = _snapshot_file(tmp_path)
     assert read_snapshots(path, g, pick=lambda t: []) == []
@@ -368,7 +380,12 @@ def test_pick_past_the_last_record_names_it(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError) as err:
         read_snapshots(path, g, pick=lambda t: [0])
-    assert str(err.value) == f"{path}: record 1: list index out of range"
+    assert str(err.value) == f"{path}: no record index 0 among 0 records"
+    path, g = _snapshot_file(tmp_path, count=2)
+    for k in (2, -3):
+        with pytest.raises(ValueError) as err:
+            read_snapshots(path, g, pick=lambda t: [0, k])
+        assert str(err.value) == f"{path}: no record index {k} among 2 records"
 
 
 SPECIAL_VALUES = [0.1, 1.0 / 3.0, 5e-324, 1e300, -0.0, 2.0]
